@@ -96,54 +96,30 @@ func TestRunErrorFidelity(t *testing.T) {
 	})
 }
 
-// fusedAndPlain loads prog twice — fused (the default) and with NoFuse —
-// runs mod.main on each, and returns both outcomes. It also asserts the
-// fused image really annotated a group with head op fop at byte pc head,
-// so the test cannot silently stop exercising fusion if the matcher or the
-// program changes.
-func fusedAndPlain(t *testing.T, prog *image.Program, head int, fop isa.FusedOp) (fusedRes, plainRes []mem.Word, fusedErr, plainErr error, fused, plain *Machine) {
+// runMain boots prog on ConfigFastCalls and calls its entry procedure.
+func runMain(t *testing.T, prog *image.Program) ([]mem.Word, error) {
 	t.Helper()
-	cfg := ConfigFastCalls
-	cfgNo := ConfigFastCalls
-	cfgNo.NoFuse = true
-	imgF, err := LoadImage(prog, cfg)
+	img, err := LoadImage(prog, ConfigFastCalls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := imgF.Insts()[head].FOp; got != fop {
-		t.Fatalf("insts[%#x].FOp = %v, want %v: the test program no longer fuses as intended", head, got, fop)
-	}
-	imgP, err := LoadImage(prog, cfgNo)
+	m, err := img.NewMachine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := imgP.Insts()[head].FOp; got != isa.FNone {
-		t.Fatalf("NoFuse image carries fusion annotations")
-	}
-	fused, err = imgF.NewMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err = imgP.NewMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fusedRes, fusedErr = fused.Call(imgF.Entry())
-	plainRes, plainErr = plain.Call(imgP.Entry())
-	return
+	return m.Call(img.Entry())
 }
 
-// TestFusedErrorPathFidelity: failures inside a fused group must be
-// reported at the failing member's original byte pc with error text
-// byte-identical to the unfused engine's — including a fault at the
-// *middle* member of a triple, where a batch-advanced pc would point past
-// instructions that never executed.
-func TestFusedErrorPathFidelity(t *testing.T) {
-	t.Run("overflow at middle member of a triple", func(t *testing.T) {
+// TestHandlerFaultFidelity: a fault raised inside an instruction handler
+// is reported at the post-advance byte pc of the faulting instruction —
+// not the start of the expression, not its end — with the exact error
+// text, and a trap caught by an in-machine handler resumes with the
+// trapping context's partial stack intact.
+func TestHandlerFaultFidelity(t *testing.T) {
+	t.Run("overflow mid-expression", func(t *testing.T) {
 		// Thirteen pushes fit exactly; the fourteenth faults. The first
-		// twelve LI1s fill the stack, then LL0 LL0 ADD fuses to a triple
-		// whose first member lands the thirteenth word and whose SECOND
-		// member faults at depth 13.
+		// twelve LI1s fill the stack, then in LL0 LL0 ADD the first LL0
+		// lands the thirteenth word and the SECOND faults at depth 13.
 		p := &image.Proc{Name: "main", NumArgs: 0, NumLocals: 1}
 		var a image.Asm
 		for j := 0; j < 12; j++ {
@@ -158,28 +134,24 @@ func TestFusedErrorPathFidelity(t *testing.T) {
 		prog := linkOne(t, mod, "main", linker.Options{})
 		i := bytes.Index(prog.Code, []byte{byte(isa.LL0), byte(isa.LL0), byte(isa.ADD)})
 		if i < 0 {
-			t.Fatal("triple not found in linked code")
+			t.Fatal("LL0 LL0 ADD not found in linked code")
 		}
 
-		_, _, fusedErr, plainErr, _, _ := fusedAndPlain(t, prog, i, isa.FPushPushALU)
-		if plainErr == nil || fusedErr == nil {
-			t.Fatalf("overflow did not fail: fused=%v plain=%v", fusedErr, plainErr)
+		_, err := runMain(t, prog)
+		if err == nil {
+			t.Fatal("overflow did not fail")
 		}
-		// The failing member is the second LL0 at i+1; handler errors are
-		// wrapped at the post-advance pc, i.e. i+2 — NOT the group head and
-		// NOT the group end (i+3).
+		// The failing instruction is the second LL0 at i+1; handler errors
+		// are wrapped at the post-advance pc, i.e. i+2.
 		pc := i + 2
 		want := fmt.Sprintf("%s at pc %06x: %s: push at depth %d",
 			prog.ProcName(uint32(pc)), pc, ErrStack, EvalStackDepth)
-		if plainErr.Error() != want {
-			t.Fatalf("plain error = %q, want %q", plainErr, want)
-		}
-		if fusedErr.Error() != plainErr.Error() {
-			t.Fatalf("fused error diverges from plain:\n fused %q\n plain %q", fusedErr, plainErr)
+		if err.Error() != want {
+			t.Fatalf("error = %q, want %q", err, want)
 		}
 	})
 
-	t.Run("div-zero trap at the group tail", func(t *testing.T) {
+	t.Run("div-zero trap", func(t *testing.T) {
 		p := &image.Proc{Name: "main", NumArgs: 0, NumLocals: 0}
 		var a image.Asm
 		a.Emit(isa.LI1)
@@ -191,12 +163,12 @@ func TestFusedErrorPathFidelity(t *testing.T) {
 		prog := linkOne(t, mod, "main", linker.Options{})
 		i := bytes.Index(prog.Code, []byte{byte(isa.LI1), byte(isa.LI0), byte(isa.DIV)})
 		if i < 0 {
-			t.Fatal("triple not found in linked code")
+			t.Fatal("LI1 LI0 DIV not found in linked code")
 		}
 
-		_, _, fusedErr, plainErr, _, _ := fusedAndPlain(t, prog, i, isa.FPushPushALU)
-		if plainErr == nil || fusedErr == nil {
-			t.Fatalf("trap did not fail: fused=%v plain=%v", fusedErr, plainErr)
+		_, err := runMain(t, prog)
+		if err == nil {
+			t.Fatal("trap did not fail")
 		}
 		// The trap fires after DIV retired: both the trap text and the
 		// wrapper report the post-advance pc (the RET's byte address, i+3).
@@ -204,19 +176,15 @@ func TestFusedErrorPathFidelity(t *testing.T) {
 		name := prog.ProcName(uint32(pc))
 		want := fmt.Sprintf("%s at pc %06x: %s: code %d at pc %06x (%s)",
 			name, pc, ErrTrap, TrapDivZero, pc, name)
-		if plainErr.Error() != want {
-			t.Fatalf("plain error = %q, want %q", plainErr, want)
-		}
-		if fusedErr.Error() != plainErr.Error() {
-			t.Fatalf("fused error diverges from plain:\n fused %q\n plain %q", fusedErr, plainErr)
+		if err.Error() != want {
+			t.Fatalf("error = %q, want %q", err, want)
 		}
 	})
 
 	t.Run("div-zero resumed through an in-machine handler", func(t *testing.T) {
-		// STRAP installs a handler, then a fused LIB/LI0/DIV triple traps
-		// mid-expression: the trapXfer must capture the same partial stack
-		// ([21], the word below the operands) and the same resumption state
-		// as the unfused engine — results AND metrics byte-identical.
+		// STRAP installs a handler, then LIB/LI0/DIV traps mid-expression:
+		// the trapXfer must capture the partial stack ([21], the word below
+		// the operands) and resume the trapping context on top of it.
 		mod := &image.Module{Name: "bad"}
 		handler := &image.Proc{Name: "handler", NumArgs: 1, NumLocals: 1}
 		{
@@ -242,24 +210,14 @@ func TestFusedErrorPathFidelity(t *testing.T) {
 		}
 		mod.Procs = []*image.Proc{p, handler}
 		prog := linkOne(t, mod, "main", linker.Options{})
-		i := bytes.Index(prog.Code, []byte{byte(isa.LIB), 5, byte(isa.LI0), byte(isa.DIV)})
-		if i < 0 {
-			t.Fatal("triple not found in linked code")
-		}
 
-		fusedRes, plainRes, fusedErr, plainErr, fused, plain := fusedAndPlain(t, prog, i, isa.FPushPushALU)
-		if fusedErr != nil || plainErr != nil {
-			t.Fatalf("handled trap failed the run: fused=%v plain=%v", fusedErr, plainErr)
+		res, err := runMain(t, prog)
+		if err != nil {
+			t.Fatalf("handled trap failed the run: %v", err)
 		}
 		want := []mem.Word{21 + 2*TrapDivZero}
-		if !reflect.DeepEqual(plainRes, want) {
-			t.Fatalf("plain results = %v, want %v", plainRes, want)
-		}
-		if !reflect.DeepEqual(fusedRes, plainRes) {
-			t.Fatalf("fused results = %v, plain = %v", fusedRes, plainRes)
-		}
-		if !reflect.DeepEqual(fused.Metrics(), plain.Metrics()) {
-			t.Fatalf("fused metrics diverge from plain:\n fused %+v\n plain %+v", fused.Metrics(), plain.Metrics())
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("results = %v, want %v", res, want)
 		}
 	})
 }

@@ -437,8 +437,8 @@ func (s *Server) handleCall(w http.ResponseWriter, r *http.Request) {
 	defer s.leave()
 
 	var req CallRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := decodeBody(w, r, &req); err != nil {
+		s.rejectBody(w, err)
 		return
 	}
 	desc, args, budget, errMsg := s.admitRequest(&req)
@@ -521,6 +521,27 @@ func (s *Server) countShed(c *uint64) {
 func (s *Server) reject(w http.ResponseWriter, status int, msg string) {
 	s.countShed(&s.c.badRequests)
 	http.Error(w, msg, status)
+}
+
+// MaxBodyBytes caps every JSON request body. The largest legitimate body
+// is a /run or /session submission carrying module sources, far below
+// 1 MiB; anything larger is refused before it is buffered.
+const MaxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most MaxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+}
+
+// rejectBody answers a request whose body failed to decode: 413 when it
+// exceeded MaxBodyBytes, 400 otherwise.
+func (s *Server) rejectBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.reject(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes))
+		return
+	}
+	s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

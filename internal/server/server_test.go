@@ -426,3 +426,23 @@ func TestServerBadRequests(t *testing.T) {
 		t.Errorf("bad requests = %v, want 4", vals["fpc_server_bad_requests_total"])
 	}
 }
+
+// TestServerBodyTooLarge: every JSON endpoint refuses a body one byte past
+// MaxBodyBytes with 413 instead of buffering it. The body is a single
+// unterminated-until-the-end JSON string, so the decoder must read past
+// the cap before it could accept the request.
+func TestServerBodyTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	const prefix, suffix = `{"x":"`, `"}`
+	body := prefix + strings.Repeat("a", server.MaxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	for _, path := range []string{"/call", "/call/0123abcd", "/run", "/session", "/session/0123abcd/resume"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want %d", path, len(body), resp.StatusCode, http.StatusRequestEntityTooLarge)
+		}
+	}
+}

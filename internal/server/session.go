@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -98,8 +97,8 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	defer s.leave()
 
 	var req SessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := decodeBody(w, r, &req); err != nil {
+		s.rejectBody(w, err)
 		return
 	}
 	args, errMsg := convertArgs(req.Args)
@@ -154,8 +153,8 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ResumeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := decodeBody(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+		s.rejectBody(w, err)
 		return
 	}
 
