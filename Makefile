@@ -5,10 +5,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# vet runs go vet plus the repo's own invariant pass (internal/lint):
-# opcode/metadata/handler-table coverage and the one-retire-per-dispatch
-# discipline.
+# vet fails on any tracked Go file gofmt would rewrite, then runs go vet
+# plus the repo's own invariant pass (internal/lint): opcode/metadata/
+# handler-table coverage and the one-retire-per-dispatch discipline.
 vet:
+	@files="$$(git ls-files '*.go')" && unformatted="$$(gofmt -l $$files)" && \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/fpclint
 

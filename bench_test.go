@@ -188,10 +188,10 @@ func BenchmarkMachineI4FastCalls(b *testing.B) { benchMachine(b, fpc.ConfigFastC
 
 // BenchmarkDispatchCertified measures what the verifier's stack-bounds
 // certificate buys at run time: the same fib(15) workload on the same
-// shared image, once on the checked dispatch table (every push/pop
-// range-tested) and once on the certified table LoadImageVerified selects
-// when the report proves the 13-word bound. The delta is the pure cost of
-// the per-instruction bounds checks.
+// shared image, once on a checked machine (sp tested against the opcode's
+// stack window before every dispatch) and once on the certified machine
+// LoadImageVerified boots when the report proves the 13-word bound. The
+// delta is the pure cost of the per-instruction window test.
 func BenchmarkDispatchCertified(b *testing.B) {
 	prog := buildFib(b, true)
 	for _, mode := range []struct {

@@ -1,9 +1,13 @@
 // Command fpcfuzz runs the differential fuzzing oracle over a contiguous
 // range of generator seeds — the long-offline counterpart to the
-// `go test -fuzz` targets in internal/difffuzz. Every seed's program is
-// checked four ways (I1 reference vs the Mesa, FastFetch and FastCalls
-// machines, both linkages) plus the metamorphic battery (Reset reuse,
-// budget cuts, cancellation, pool accounting, fast-transfer monotonicity).
+// `go test -fuzz` targets in internal/difffuzz. Every seed's program goes
+// through difffuzz.Check: the four-way differential (I1 reference vs the
+// Mesa, FastFetch and FastCalls machines, both linkages) with the
+// predecode cross-check, the static-verification oracle (admission, and
+// certified vs checked execution), the Reset-elision oracle, the
+// metamorphic battery (Step vs Run, Reset reuse, budget cuts,
+// cancellation, pool accounting, park/resume) and fast-transfer
+// monotonicity.
 //
 //	fpcfuzz -n 2000            # the make fuzz-smoke sweep
 //	fpcfuzz -start 2000 -n 100000 -quiet   # an overnight shift

@@ -172,9 +172,9 @@ func Verify(prog *Program) *VerifyReport {
 
 // LoadImageVerified is LoadImage behind the verifier: a rejected program
 // fails with a *VerifyError (inspect its Report), and an admitted program
-// whose stack bounds are certified gets the fast handler table — machines
-// booted from the image skip the per-instruction stack-bounds checks
-// (LoadedImage.Certified reports the choice).
+// whose stack bounds are certified gets certified machines — they skip the
+// per-instruction stack-window test (LoadedImage.Certified reports the
+// choice).
 func LoadImageVerified(prog *Program, cfg Config) (*LoadedImage, error) {
 	return core.LoadImage(prog, cfg, core.WithVerify())
 }

@@ -110,45 +110,92 @@ func runMain(t *testing.T, prog *image.Program) ([]mem.Word, error) {
 	return m.Call(img.Entry())
 }
 
-// TestHandlerFaultFidelity: a fault raised inside an instruction handler
-// is reported at the post-advance byte pc of the faulting instruction —
-// not the start of the expression, not its end — with the exact error
-// text, and a trap caught by an in-machine handler resumes with the
+// TestHandlerFaultFidelity: a fault raised by an instruction — by the
+// pre-dispatch stack-window test or inside its handler — is reported at
+// the post-advance byte pc of the faulting instruction (not the start of
+// the expression, not its end) with the exact error text, Step reports
+// the same fault as Run, a stack fault strikes before the instruction has
+// any effect, and a trap caught by an in-machine handler resumes with the
 // trapping context's partial stack intact.
 func TestHandlerFaultFidelity(t *testing.T) {
-	t.Run("overflow mid-expression", func(t *testing.T) {
-		// Thirteen pushes fit exactly; the fourteenth faults. The first
-		// twelve LI1s fill the stack, then in LL0 LL0 ADD the first LL0
-		// lands the thirteenth word and the SECOND faults at depth 13.
+	// stackFault runs prog's main (whose body contains seq) with Run and
+	// then, on a fresh machine, with Step, and checks both report text at
+	// the post-advance pc seq+at. It returns the machine Run drove.
+	stackFault := func(t *testing.T, body func(*image.Asm), seq []byte, at int, text string) *Machine {
+		t.Helper()
 		p := &image.Proc{Name: "main", NumArgs: 0, NumLocals: 1}
 		var a image.Asm
-		for j := 0; j < 12; j++ {
-			a.Emit(isa.LI1)
-		}
-		a.Emit(isa.LL0)
-		a.Emit(isa.LL0)
-		a.Emit(isa.ADD)
-		a.Emit(isa.RET)
+		body(&a)
 		p.Body = a.Fragment()
 		mod := &image.Module{Name: "bad", Procs: []*image.Proc{p}}
 		prog := linkOne(t, mod, "main", linker.Options{})
-		i := bytes.Index(prog.Code, []byte{byte(isa.LL0), byte(isa.LL0), byte(isa.ADD)})
+		i := bytes.Index(prog.Code, seq)
 		if i < 0 {
-			t.Fatal("LL0 LL0 ADD not found in linked code")
+			t.Fatalf("% x not found in linked code", seq)
+		}
+		pc := i + at
+		img, err := LoadImage(prog, ConfigFastCalls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boot := func() *Machine {
+			m, err := img.NewMachine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
 		}
 
-		_, err := runMain(t, prog)
-		if err == nil {
-			t.Fatal("overflow did not fail")
+		m := boot()
+		_, err = m.Call(img.Entry())
+		want := fmt.Sprintf("%s at pc %06x: %s", prog.ProcName(uint32(pc)), pc, text)
+		if err == nil || err.Error() != want {
+			t.Fatalf("Run error = %v, want %q", err, want)
 		}
-		// The failing instruction is the second LL0 at i+1; handler errors
-		// are wrapped at the post-advance pc, i.e. i+2.
-		pc := i + 2
-		want := fmt.Sprintf("%s at pc %06x: %s: push at depth %d",
-			prog.ProcName(uint32(pc)), pc, ErrStack, EvalStackDepth)
-		if err.Error() != want {
-			t.Fatalf("error = %q, want %q", err, want)
+
+		s := boot()
+		if err := s.Start(img.Entry()); err != nil {
+			t.Fatal(err)
 		}
+		for err = s.Step(); err == nil; err = s.Step() {
+		}
+		if err.Error() != text || s.PC() != uint32(pc) {
+			t.Fatalf("Step error = %q at pc %06x, want %q at pc %06x", err, s.PC(), text, pc)
+		}
+		return m
+	}
+
+	t.Run("overflow mid-expression", func(t *testing.T) {
+		// Thirteen pushes fit exactly; the fourteenth faults. The twelve
+		// LI1s and the first LL0 fill the stack, then the SECOND LL0 (at
+		// i+1, reported at its post-advance pc i+2) faults at depth 13.
+		m := stackFault(t, func(a *image.Asm) {
+			for j := 0; j < 12; j++ {
+				a.Emit(isa.LI1)
+			}
+			a.Emit(isa.LL0)
+			a.Emit(isa.LL0)
+			a.Emit(isa.ADD)
+			a.Emit(isa.RET)
+		}, []byte{byte(isa.LL0), byte(isa.LL0), byte(isa.ADD)}, 2,
+			fmt.Sprintf("%s: push at depth %d", ErrStack, EvalStackDepth))
+		// The fault precedes the faulting LL0's effects: only the LL0
+		// that completed counted a local reference.
+		if got := m.Metrics().LocalVarRefs; got != 1 {
+			t.Fatalf("LocalVarRefs = %d, want 1", got)
+		}
+	})
+
+	t.Run("underflow", func(t *testing.T) {
+		// LIB 0x5A; POP empties the stack; ADD at i+3 underflows and is
+		// reported at its post-advance pc i+4.
+		stackFault(t, func(a *image.Asm) {
+			a.Emit(isa.LIB, 0x5A)
+			a.Emit(isa.POP)
+			a.Emit(isa.ADD)
+			a.Emit(isa.RET)
+		}, []byte{byte(isa.LIB), 0x5A, byte(isa.POP), byte(isa.ADD)}, 4,
+			fmt.Sprintf("%s: pop of empty stack", ErrStack))
 	})
 
 	t.Run("div-zero trap", func(t *testing.T) {

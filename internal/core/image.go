@@ -35,8 +35,8 @@ type LoadedImage struct {
 	insts []isa.Inst
 
 	// report is the static verifier's result when WithVerify was requested
-	// (nil otherwise). certified selects the unchecked handler table for
-	// every machine booted over this image: it requires the verifier's
+	// (nil otherwise). certified lets every machine booted over this image
+	// skip the pre-dispatch stack-window test: it requires the verifier's
 	// stack-bounds certificate AND no Go-level trap hook (a cfg.Trap
 	// callback may resume a trapping instruction with machine state the
 	// static analysis never saw).
@@ -61,8 +61,8 @@ type loadOpts struct{ verify bool }
 // before accepting it. A program the verifier rejects fails the load with a
 // *VerifyError carrying the full report. When the verifier additionally
 // grants the stack-bounds certificate (and no cfg.Trap hook is installed),
-// machines over this image run the certified handler table, skipping the
-// per-instruction evaluation-stack bounds checks.
+// machines over this image skip the per-instruction evaluation-stack
+// window test.
 func WithVerify() LoadOption {
 	return func(o *loadOpts) { o.verify = true }
 }
@@ -176,8 +176,8 @@ func (img *LoadedImage) Insts() []isa.Inst { return img.insts }
 // was loaded without WithVerify.
 func (img *LoadedImage) VerifyReport() *verify.Report { return img.report }
 
-// Certified reports whether machines over this image run the certified
-// handler table (verifier stack-bounds certificate held and no trap hook).
+// Certified reports whether machines over this image skip the stack-window
+// test (verifier stack-bounds certificate held and no trap hook).
 func (img *LoadedImage) Certified() bool { return img.certified }
 
 // ResetElide reports whether machines over this image take the Reset fast
@@ -228,10 +228,7 @@ func (img *LoadedImage) NewMachine() (*Machine, error) {
 		stdFSI:     img.stdFSI,
 		curFSI:     -1,
 		resetElide: img.resetElide,
-		h:          &handlers,
-	}
-	if img.certified {
-		m.h = &certHandlers
+		certified:  img.certified,
 	}
 	m.rec = histRecorder{&m.metrics}
 	m.m.LoadFrom(img.boot)

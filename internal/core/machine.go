@@ -91,10 +91,9 @@ type Machine struct {
 	// insts is the image's shared predecoded instruction stream, indexed
 	// by byte pc — the decode-once engine's read-only dispatch input.
 	insts []isa.Inst
-	// h is the dispatch table this machine runs: the checked default, or
-	// the certified table (no per-instruction stack-bounds checks) when
-	// the image carries the verifier's stack-bounds certificate.
-	h *[isa.NumOps]handlerFunc
+	// certified mirrors the image's stack-bounds certificate: dispatch
+	// skips the pre-dispatch stack-window test (step.go).
+	certified bool
 
 	// Processor registers.
 	pc        uint32 // absolute code byte address
@@ -510,6 +509,21 @@ func (m *Machine) pop() (mem.Word, error) {
 	}
 	m.sp--
 	return m.stack[m.sp], nil
+}
+
+// pushU and popU are the unchecked forms the fixed-effect handlers use:
+// dispatch has already tested sp against the opcode's stack window, or the
+// verifier's certificate proved it in range. The stack is a fixed Go
+// array, so a wrong window or certificate panics on the slide out of
+// bounds instead of corrupting neighbouring machine state.
+func (m *Machine) pushU(v mem.Word) {
+	m.stack[m.sp] = v
+	m.sp++
+}
+
+func (m *Machine) popU() mem.Word {
+	m.sp--
+	return m.stack[m.sp]
 }
 
 type trapSave struct {

@@ -76,8 +76,9 @@ const cancelCheckInterval = 1024
 // The loop is the decode-once engine's fast path: the budget and cancel
 // countdowns are batched into a pause point ahead of time, so the inner
 // loop executes predecoded instructions with nothing between them but a
-// table index and the handler call — dispatch[in.Op](m, in), where the
-// table is the checked one or, on a certified image, the check-free one.
+// table index and the handler call — handlers[in.Op](m, in), preceded on
+// an uncertified machine by one test of sp against the opcode's stack
+// window.
 // Each dispatch retires exactly one instruction, which is what makes the
 // batching exact: the inner loop stops on precisely the instruction the
 // per-step checks would have, so budget and cancel cuts land on an
@@ -96,7 +97,7 @@ func (m *Machine) Run() error {
 		}
 	}
 	insts := m.insts
-	dispatch := m.dispatch()
+	certified := m.certified
 	ncode := uint32(len(m.code))
 	for !m.halted {
 		if m.metrics.Instructions >= limit {
@@ -120,23 +121,32 @@ func (m *Machine) Run() error {
 		for n := stop - m.metrics.Instructions; n > 0 && !m.halted; n-- {
 			pc := m.pc
 			if pc >= ncode {
-				return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(pc), pc,
-					isa.ErrPCRange(int(pc), int(ncode)))
+				return m.errAt(pc, isa.ErrPCRange(int(pc), int(ncode)))
 			}
 			in := &insts[pc]
 			if !in.Valid() {
-				return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(pc), pc,
-					in.Err(m.code, int(pc)))
+				return m.errAt(pc, in.Err(m.code, int(pc)))
 			}
 			m.pc = pc + uint32(in.Size)
 			m.metrics.Instructions++
 			m.cycles += CycDispatch
-			if err := dispatch[in.Op](m, in); err != nil {
-				return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(m.pc), m.pc, err)
+			if !certified {
+				if w := stackWindow[in.Op]; m.sp < w.lo || m.sp > w.hi {
+					return m.errAt(m.pc, w.fault(m.sp))
+				}
+			}
+			if err := handlers[in.Op](m, in); err != nil {
+				return m.errAt(m.pc, err)
 			}
 		}
 	}
 	return nil
+}
+
+// errAt wraps a run failure with the procedure name and the byte pc it is
+// reported at.
+func (m *Machine) errAt(pc uint32, err error) error {
+	return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(pc), pc, err)
 }
 
 // Halted reports whether the machine has stopped.

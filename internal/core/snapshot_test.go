@@ -228,7 +228,7 @@ func TestSnapshotBudgetCutAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.name == "certified" && !img.Certified() {
-				t.Fatal("fib image did not certify; the certified table is untested")
+				t.Fatal("fib image did not certify; the certified path is untested")
 			}
 
 			want, wantRes := uninterrupted(t, img, args...)

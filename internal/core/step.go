@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/frames"
 	"repro/internal/image"
 	"repro/internal/isa"
@@ -14,6 +16,17 @@ import (
 // per-opcode handler table below — no isa.Decode, no operand assembly and
 // no range-check switch on the hot path. Step is the single-instruction
 // wrapper over the same handlers Run's inner loop drives.
+//
+// There is one handler set. Every opcode with a fixed stack effect
+// (isa.InfoOf(op).Pops != VarEffect) touches the evaluation stack through
+// the unchecked pushU/popU; the bounds test is hoisted out of the handler
+// into one pre-dispatch comparison of sp against the opcode's stack window
+// (stackWindow, derived from the metadata table). A machine over a
+// certified image skips even that: the verifier's stack-bounds
+// certificate proves every reachable instruction keeps sp inside its
+// window. Handlers whose stack effect depends on machine state (calls,
+// RET, XFERO, TRAPB) and pushes that follow Go-level trap-hook code keep
+// the checked push/pop.
 
 // Step executes one instruction. It returns ErrHalted once the machine has
 // halted.
@@ -32,29 +45,44 @@ func (m *Machine) Step() error {
 	m.pc = pc + uint32(in.Size)
 	m.metrics.Instructions++
 	m.cycles += CycDispatch
-	return m.dispatch()[in.Op](m, in)
-}
-
-// dispatch returns the machine's handler table, defaulting to the checked
-// table for machines built before the image choice existed (tests
-// constructing Machine values directly).
-func (m *Machine) dispatch() *[isa.NumOps]handlerFunc {
-	if m.h == nil {
-		return &handlers
+	if !m.certified {
+		if w := stackWindow[in.Op]; m.sp < w.lo || m.sp > w.hi {
+			return w.fault(m.sp)
+		}
 	}
-	return m.h
+	return handlers[in.Op](m, in)
 }
 
 // handlerFunc executes one predecoded instruction. The program counter has
-// already been advanced past the instruction and the dispatch cycle
-// charged when a handler runs.
+// already been advanced past the instruction, the dispatch cycle charged
+// and, on an uncertified machine, the stack window tested when a handler
+// runs.
 type handlerFunc func(*Machine, *isa.Inst) error
 
-// handlers is the checked dispatch table, indexed by opcode. Every
-// defined opcode has a non-nil entry (asserted by TestHandlerTableTotal);
-// undefined opcodes never reach the table because predecode marks them
-// invalid.
+// handlers is the dispatch table, indexed by opcode. Every defined opcode
+// has a non-nil entry (asserted by TestHandlerTableTotal); undefined
+// opcodes never reach the table because predecode marks them invalid.
 var handlers [isa.NumOps]handlerFunc
+
+// window is the evaluation-stack depth range [lo, hi] inside which an
+// instruction's fixed stack effect can neither underflow nor overflow.
+type window struct{ lo, hi int }
+
+// fault is the error the first failing pop or push would raise at depth
+// sp outside the window: every pop precedes every push, so an underflow
+// empties the stack and an overflow strikes at full depth.
+func (w window) fault(sp int) error {
+	if sp < w.lo {
+		return fmt.Errorf("%w: pop of empty stack", ErrStack)
+	}
+	return fmt.Errorf("%w: push at depth %d", ErrStack, EvalStackDepth)
+}
+
+// stackWindow[op] is op's window, derived from the metadata table's
+// stack-effect column: [Pops, EvalStackDepth − max(0, Pushes−Pops)]. A
+// VarEffect opcode gets the whole range; its handler checks each push and
+// pop itself.
+var stackWindow [isa.NumOps]window
 
 func init() {
 	set := func(f handlerFunc, lo, hi isa.Op) {
@@ -114,10 +142,14 @@ func init() {
 	one(hTrap, isa.TRAPB)
 	one(hSetTrap, isa.STRAP)
 
-	// The certified table copies this one, so it must be built after every
-	// entry above is in place (file-level init order is not guaranteed to
-	// favour cert.go).
-	initCertHandlers()
+	for op := isa.Op(0); op < isa.NumOps; op++ {
+		w := window{0, EvalStackDepth}
+		if info := isa.InfoOf(op); info.Pops != isa.VarEffect {
+			w.lo = int(info.Pops)
+			w.hi -= max(0, int(info.Pushes-info.Pops))
+		}
+		stackWindow[op] = w
+	}
 }
 
 func hNoop(m *Machine, _ *isa.Inst) error { return nil }
@@ -128,11 +160,7 @@ func hHalt(m *Machine, _ *isa.Inst) error {
 }
 
 func hOut(m *Machine, _ *isa.Inst) error {
-	v, err := m.pop()
-	if err != nil {
-		return err
-	}
-	m.Output = append(m.Output, v)
+	m.Output = append(m.Output, m.popU())
 	return nil
 }
 
@@ -140,104 +168,93 @@ func hOut(m *Machine, _ *isa.Inst) error {
 
 func hLoadLocal(m *Machine, in *isa.Inst) error {
 	m.metrics.LocalVarRefs++
-	return m.push(m.frameLoad(m.lf, image.FrameHeaderWords+int(in.Arg)))
+	m.pushU(m.frameLoad(m.lf, image.FrameHeaderWords+int(in.Arg)))
+	return nil
 }
 
 func hStoreLocal(m *Machine, in *isa.Inst) error {
 	m.metrics.LocalVarRefs++
-	v, err := m.pop()
-	if err != nil {
-		return err
-	}
-	m.frameStore(m.lf, image.FrameHeaderWords+int(in.Arg), v)
+	m.frameStore(m.lf, image.FrameHeaderWords+int(in.Arg), m.popU())
 	return nil
 }
 
-func hLocalAddr(m *Machine, in *isa.Inst) error { return m.localAddress(int(in.Arg)) }
+func hLocalAddr(m *Machine, in *isa.Inst) error {
+	m.localAddress(int(in.Arg))
+	return nil
+}
 
 // Globals (word 0,1 of the global frame hold the code base).
 
 func hLoadGlobal(m *Machine, in *isa.Inst) error {
 	m.metrics.GlobalVarRefs++
-	return m.push(m.read(m.gf + 2 + mem.Addr(in.Arg)))
+	m.pushU(m.read(m.gf + 2 + mem.Addr(in.Arg)))
+	return nil
 }
 
 func hStoreGlobal(m *Machine, in *isa.Inst) error {
 	m.metrics.GlobalVarRefs++
-	v, err := m.pop()
-	if err != nil {
-		return err
-	}
-	m.write(m.gf+2+mem.Addr(in.Arg), v)
+	m.write(m.gf+2+mem.Addr(in.Arg), m.popU())
 	return nil
 }
 
 // Literals: LIN1 and LI0..LI7 carry their value in Arg after folding.
 
-func hLit(m *Machine, in *isa.Inst) error { return m.push(mem.Word(in.Arg)) }
+func hLit(m *Machine, in *isa.Inst) error {
+	m.pushU(mem.Word(in.Arg))
+	return nil
+}
 
-// Arithmetic and logic. pop2 pops the two operands of a binary operation.
+// Arithmetic and logic. pop2U pops the two operands of a binary operation.
 
-func (m *Machine) pop2() (a, b mem.Word, err error) {
-	if b, err = m.pop(); err != nil {
-		return
-	}
-	a, err = m.pop()
+func (m *Machine) pop2U() (a, b mem.Word) {
+	b = m.popU()
+	a = m.popU()
 	return
 }
 
 func hAdd(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
-	return m.push(isa.Add(a, b))
+	a, b := m.pop2U()
+	m.pushU(isa.Add(a, b))
+	return nil
 }
 
 func hSub(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
-	return m.push(isa.Sub(a, b))
+	a, b := m.pop2U()
+	m.pushU(isa.Sub(a, b))
+	return nil
 }
 
 func hMul(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
-	return m.push(isa.Mul(a, b))
+	a, b := m.pop2U()
+	m.pushU(isa.Mul(a, b))
+	return nil
 }
 
 func hDiv(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
+	a, b := m.pop2U()
 	v, ok := isa.Div(a, b)
 	if !ok {
 		return m.divZero()
 	}
-	return m.push(v)
+	m.pushU(v)
+	return nil
 }
 
 func hMod(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
+	a, b := m.pop2U()
 	v, ok := isa.Mod(a, b)
 	if !ok {
 		return m.divZero()
 	}
-	return m.push(v)
+	m.pushU(v)
+	return nil
 }
 
 // divZero routes a division by zero: to the trap handler when one is
 // installed (the handler context now runs; its results will land on the
 // stack exactly where this operation's result would have), the default
-// result 0 otherwise.
+// result 0 otherwise. The default push stays checked: it follows a
+// Go-level trap hook, which may have moved the stack.
 func (m *Machine) divZero() error {
 	handled, err := m.trapXfer(TrapDivZero)
 	if err != nil {
@@ -250,135 +267,91 @@ func (m *Machine) divZero() error {
 }
 
 func hNeg(m *Machine, _ *isa.Inst) error {
-	a, err := m.pop()
-	if err != nil {
-		return err
-	}
-	return m.push(isa.Neg(a))
+	m.pushU(isa.Neg(m.popU()))
+	return nil
 }
 
 func hAnd(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
-	return m.push(a & b)
+	a, b := m.pop2U()
+	m.pushU(a & b)
+	return nil
 }
 
 func hOr(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
-	return m.push(a | b)
+	a, b := m.pop2U()
+	m.pushU(a | b)
+	return nil
 }
 
 func hXor(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
-	return m.push(a ^ b)
+	a, b := m.pop2U()
+	m.pushU(a ^ b)
+	return nil
 }
 
 func hNot(m *Machine, _ *isa.Inst) error {
-	a, err := m.pop()
-	if err != nil {
-		return err
-	}
-	return m.push(^a)
+	m.pushU(^m.popU())
+	return nil
 }
 
 func hShl(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
-	return m.push(isa.Shl(a, b))
+	a, b := m.pop2U()
+	m.pushU(isa.Shl(a, b))
+	return nil
 }
 
 func hShr(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
-	return m.push(isa.Shr(a, b))
+	a, b := m.pop2U()
+	m.pushU(isa.Shr(a, b))
+	return nil
 }
 
 // Stack manipulation.
 
 func hDup(m *Machine, _ *isa.Inst) error {
-	v, err := m.pop()
-	if err != nil {
-		return err
-	}
-	if err := m.push(v); err != nil {
-		return err
-	}
-	return m.push(v)
+	v := m.popU()
+	m.pushU(v)
+	m.pushU(v)
+	return nil
 }
 
 func hPop(m *Machine, _ *isa.Inst) error {
-	_, err := m.pop()
-	return err
+	m.popU()
+	return nil
 }
 
 func hExch(m *Machine, _ *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
-	if err := m.push(b); err != nil {
-		return err
-	}
-	return m.push(a)
+	a, b := m.pop2U()
+	m.pushU(b)
+	m.pushU(a)
+	return nil
 }
 
 // Memory through pointers.
 
 func hLdind(m *Machine, _ *isa.Inst) error {
 	m.metrics.PointerRefs++
-	a, err := m.pop()
-	if err != nil {
-		return err
-	}
-	return m.push(m.read(a))
+	m.pushU(m.read(m.popU()))
+	return nil
 }
 
 func hStind(m *Machine, _ *isa.Inst) error {
 	m.metrics.PointerRefs++
-	a, err := m.pop()
-	if err != nil {
-		return err
-	}
-	v, err := m.pop()
-	if err != nil {
-		return err
-	}
-	m.write(a, v)
+	a := m.popU()
+	m.write(a, m.popU())
 	return nil
 }
 
 func hReadField(m *Machine, in *isa.Inst) error {
 	m.metrics.PointerRefs++
-	p, err := m.pop()
-	if err != nil {
-		return err
-	}
-	return m.push(m.read(p + mem.Addr(in.Arg)))
+	m.pushU(m.read(m.popU() + mem.Addr(in.Arg)))
+	return nil
 }
 
 func hWriteField(m *Machine, in *isa.Inst) error {
 	m.metrics.PointerRefs++
-	p, err := m.pop()
-	if err != nil {
-		return err
-	}
-	v, err := m.pop()
-	if err != nil {
-		return err
-	}
-	m.write(p+mem.Addr(in.Arg), v)
+	p := m.popU()
+	m.write(p+mem.Addr(in.Arg), m.popU())
 	return nil
 }
 
@@ -391,11 +364,7 @@ func hJump(m *Machine, in *isa.Inst) error {
 }
 
 func hJumpZero(m *Machine, in *isa.Inst) error {
-	v, err := m.pop()
-	if err != nil {
-		return err
-	}
-	if v == 0 {
+	if m.popU() == 0 {
 		m.pc = in.Target
 		m.cycles += CycRefill
 	}
@@ -403,11 +372,7 @@ func hJumpZero(m *Machine, in *isa.Inst) error {
 }
 
 func hJumpNonzero(m *Machine, in *isa.Inst) error {
-	v, err := m.pop()
-	if err != nil {
-		return err
-	}
-	if v != 0 {
+	if m.popU() != 0 {
 		m.pc = in.Target
 		m.cycles += CycRefill
 	}
@@ -415,10 +380,7 @@ func hJumpNonzero(m *Machine, in *isa.Inst) error {
 }
 
 func hCompareJump(m *Machine, in *isa.Inst) error {
-	a, b, err := m.pop2()
-	if err != nil {
-		return err
-	}
+	a, b := m.pop2U()
 	if isa.Compare(in.Op, a, b) {
 		m.pc = in.Target
 		m.cycles += CycRefill
@@ -462,17 +424,17 @@ func hXfer(m *Machine, _ *isa.Inst) error {
 	return m.xferIn(ctx, KindXfer)
 }
 
-func hCocreate(m *Machine, _ *isa.Inst) error {
-	desc, err := m.pop()
-	if err != nil {
-		return err
-	}
-	return m.doCocreate(desc)
+func hCocreate(m *Machine, _ *isa.Inst) error { return m.doCocreate(m.popU()) }
+
+func hLoadRetCtx(m *Machine, _ *isa.Inst) error {
+	m.pushU(m.retCtx)
+	return nil
 }
 
-func hLoadRetCtx(m *Machine, _ *isa.Inst) error { return m.push(m.retCtx) }
-
-func hLoadFrame(m *Machine, _ *isa.Inst) error { return m.push(image.FramePtr(m.lf)) }
+func hLoadFrame(m *Machine, _ *isa.Inst) error {
+	m.pushU(image.FramePtr(m.lf))
+	return nil
+}
 
 func hRetain(m *Machine, _ *isa.Inst) error {
 	m.heap.SetFlag(m.lf, frames.FlagRetained)
@@ -480,13 +442,7 @@ func hRetain(m *Machine, _ *isa.Inst) error {
 	return nil
 }
 
-func hFree(m *Machine, _ *isa.Inst) error {
-	ctx, err := m.pop()
-	if err != nil {
-		return err
-	}
-	return m.doFree(ctx)
-}
+func hFree(m *Machine, _ *isa.Inst) error { return m.doFree(m.popU()) }
 
 // Heap access for long records and retained storage.
 
@@ -495,16 +451,11 @@ func hAllocFrame(m *Machine, in *isa.Inst) error {
 	if err != nil {
 		return m.allocTrap(err)
 	}
-	return m.push(image.FramePtr(lf))
+	m.pushU(image.FramePtr(lf))
+	return nil
 }
 
-func hFreeFrame(m *Machine, _ *isa.Inst) error {
-	p, err := m.pop()
-	if err != nil {
-		return err
-	}
-	return m.heap.Free(mem.Addr(p))
-}
+func hFreeFrame(m *Machine, _ *isa.Inst) error { return m.heap.Free(mem.Addr(m.popU())) }
 
 func hTrap(m *Machine, in *isa.Inst) error {
 	handled, err := m.trapXfer(int(in.Arg))
@@ -520,11 +471,7 @@ func hTrap(m *Machine, in *isa.Inst) error {
 }
 
 func hSetTrap(m *Machine, _ *isa.Inst) error {
-	ctx, err := m.pop()
-	if err != nil {
-		return err
-	}
-	m.trapCtx = ctx
+	m.trapCtx = m.popU()
 	return nil
 }
 
@@ -586,7 +533,7 @@ func (m *Machine) directCall(hdr uint32) error {
 // localAddress implements LAB (§7.4): constructing a pointer to a local
 // rules out keeping the frame in a register bank, so the bank is flushed
 // and released and the frame flagged.
-func (m *Machine) localAddress(n int) error {
+func (m *Machine) localAddress(n int) {
 	if b := m.bankOf(m.lf); b >= 0 {
 		bank := m.banks.Get(b)
 		m.flushBank(regbank.Bank{Words: bank.Words, Dirty: bank.Dirty, Owner: bank.Owner})
@@ -594,5 +541,5 @@ func (m *Machine) localAddress(n int) error {
 		m.metrics.PointerFlushes++
 	}
 	m.heap.SetFlag(m.lf, frames.FlagPointers)
-	return m.push(m.lf + mem.Addr(image.FrameHeaderWords+n))
+	m.pushU(m.lf + mem.Addr(image.FrameHeaderWords+n))
 }

@@ -250,7 +250,8 @@ func (m *Machine) doCocreate(desc mem.Word) error {
 	m.frameStore(newLF, 1, mem.Word(gf)|embryoBit)
 	m.frameStore(newLF, 2, mem.Word(entry-cb))
 	m.metrics.Creates++
-	return m.push(image.FramePtr(newLF))
+	m.pushU(image.FramePtr(newLF))
+	return nil
 }
 
 // doFree implements FREE: explicitly release a context, retained or not.

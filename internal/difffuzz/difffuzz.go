@@ -1,31 +1,43 @@
-// Package difffuzz is the differential fuzzing subsystem: every generated
-// or corpus program is checked four ways — the I1 reference interpreter
-// (internal/interp) against the Simple/Mesa (I2), FastFetch (I3) and
-// FastCalls (I4) machine configurations — under both linkage policies,
-// asserting identical results, output records and halt state. On top of
-// the plain four-way differential, a battery of metamorphic invariants
-// checks the serving-layer machinery the paper's claims now rest on:
+// Package difffuzz is the differential fuzzing subsystem. Check runs every
+// generated or corpus program through five phases, in this order, and
+// reports the first disagreement:
 //
-//   - a Reset-reused machine is byte-identical to a fresh boot (results,
-//     output and every metrics counter);
-//   - a run budget-cut at N instructions stops at exactly N, and the same
-//     machine Reset and re-run from scratch reproduces the uncut run;
-//   - a huge (near-overflow) budget never cuts a healthy run;
-//   - an armed-but-quiet cancellation probe perturbs nothing;
-//   - a Pool's aggregate metrics equal the exact sum of its per-run
-//     metrics, failed runs included;
-//   - the fast-transfer count (calls+returns at unconditional-jump cost)
-//     only improves I2 → I3 → I4 on the same early-bound build;
-//   - the predecoded instruction table (isa.Predecode, the decode-once
-//     engine's input) agrees with isa.Decode at every byte offset of every
-//     built image — opcode, length, folded operand, jump target, call
-//     header and the exact error text of every undecodable slot;
-//   - driving a machine one Step at a time reproduces the Run-driven
-//     machine exactly: results, output and every metrics counter;
-//   - a run parked at arbitrary instruction boundaries (core.Snapshot),
-//     round-tripped through the continuation wire codec, and resumed on
-//     different machines is byte-identical to the uninterrupted run —
-//     results, output, halt state and the merge of per-segment metrics;
+//  1. Four-way differential, both linkage policies: the I1 reference
+//     interpreter (internal/interp) against the Simple/Mesa (I2),
+//     FastFetch (I3) and FastCalls (I4) machine configurations must agree
+//     on results, output record and halt state, and the frame heap's
+//     invariants must hold after the run. Each build's predecoded
+//     instruction table (isa.Predecode, the decode-once engine's input)
+//     must agree with isa.Decode at every byte offset — opcode, length,
+//     folded operand, jump target, call header and the exact error text
+//     of every undecodable slot (checkPredecode).
+//  2. Static verification (checkVerify, diffCertified): the verifier must
+//     admit every compiler-emitted program under both linkages, and when
+//     it grants the stack-bounds certificate a certified machine (no
+//     pre-dispatch stack-window test) must be byte-identical to a checked
+//     one on every configuration — results, output, halt state, error
+//     text and every metrics counter — and must never panic.
+//  3. Reset elision (checkReset): on a verified image the static dirty
+//     bound must hold, Reset must restore the boot image word for word
+//     whether or not the memory restore was elided, and a run-Reset-run
+//     chain must match a fresh boot and the same chain over an unverified
+//     image.
+//  4. Metamorphic invariants on each configuration's default (serving)
+//     linkage (checkMetamorphic, checkParkResume). Driving a machine one
+//     Step at a time reproduces the Run-driven machine exactly (results,
+//     output and every metrics counter). A Reset-reused machine is
+//     byte-identical to a fresh boot. A run budget-cut at N instructions
+//     stops at exactly N, and the same machine Reset and re-run from
+//     scratch reproduces the uncut run; a huge (near-overflow) budget never
+//     cuts a healthy run. An armed-but-quiet cancellation probe perturbs
+//     nothing. A Pool's aggregate metrics equal the exact sum of its
+//     per-run metrics, failed runs included. A run parked at arbitrary
+//     instruction boundaries (core.Snapshot), round-tripped through the
+//     continuation wire codec and resumed on different machines is
+//     byte-identical to the uninterrupted run.
+//  5. Fast-transfer monotonicity (checkMonotone): the fast-transfer count
+//     (calls+returns at unconditional-jump cost) only improves I2 → I3 →
+//     I4 on the same early-bound build.
 //
 // The paper asserts (§6, §8) that the optimized implementations "behave
 // identically — only space and speed change"; this package turns that
@@ -209,7 +221,7 @@ func Check(p *workload.Program) error {
 		return err
 	}
 
-	// Phase 2b: the Reset-elision oracle — a verified image's Reset (which
+	// Phase 3: the Reset-elision oracle — a verified image's Reset (which
 	// may skip the memory restore on the heap-effects certificate) must be
 	// byte-identical to the full restore, and the static dirty bound must
 	// hold on the wire.
@@ -217,7 +229,7 @@ func Check(p *workload.Program) error {
 		return err
 	}
 
-	// Phase 3: metamorphic invariants on each configuration under its
+	// Phase 4: metamorphic invariants on each configuration under its
 	// default (serving) linkage, including the park/resume chain (snapshot
 	// at thirds, codec round trip, restore on a fresh machine).
 	for _, c := range configs {
@@ -229,7 +241,7 @@ func Check(p *workload.Program) error {
 		}
 	}
 
-	// Phase 4: fast-transfer monotonicity on one shared early-bound build.
+	// Phase 5: fast-transfer monotonicity on one shared early-bound build.
 	return checkMonotone(p)
 }
 
@@ -240,8 +252,8 @@ func Check(p *workload.Program) error {
 //     compiler+linker emit must be admitted by the verifier, under both
 //     linkage policies. A rejection here is a verifier false positive.
 //  2. Certificate soundness: when the verifier certifies the
-//     evaluation-stack bounds, a machine running the certified handler
-//     table (stack bounds checks skipped) must behave byte-identically to
+//     evaluation-stack bounds, a certified machine (the pre-dispatch
+//     stack-window test skipped) must behave byte-identically to
 //     the checked machine on every configuration — same results, output,
 //     halt state, error and every metrics counter. In particular a
 //     certified program must never trip the ErrStack class the
@@ -287,7 +299,7 @@ func checkVerify(p *workload.Program) error {
 
 // diffCertified runs p on a checked and a certified machine and demands
 // byte-identical behaviour. A panic on the certified side (the unchecked
-// primitives' array backstop) is the loudest possible unsoundness signal.
+// push/pop's array backstop) is the loudest possible unsoundness signal.
 func diffCertified(name string, early bool, checked, certified *core.LoadedImage, p *workload.Program) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -87,7 +87,7 @@ func TestPushdownSeedCoverage(t *testing.T) {
 
 // TestPushdownSeedDifferential pushes every pinned seed through the full
 // oracle: the newly certified programs must behave byte-identically on the
-// checked and certified tables (checkVerify covers both).
+// checked and certified machines (checkVerify covers both).
 func TestPushdownSeedDifferential(t *testing.T) {
 	for _, c := range pushdownSeeds {
 		if err := CheckSeed(c.seed); err != nil {

@@ -51,11 +51,10 @@ type RunResponse struct {
 	// Cached reports whether this request hit the registry (zero
 	// verification, linking or predecode work was done for it).
 	Cached bool `json:"cached"`
-	// Certified reports whether the run used the verifier-certified fast
-	// dispatch table (stack-bounds checks elided). When a verified image
-	// was admitted but denied the certificate, CertReasons carries the
-	// verifier's distinct reason codes — why this program fell back to the
-	// checked table.
+	// Certified reports whether the run was verifier-certified (the
+	// stack-window test elided). When a verified image was admitted but
+	// denied the certificate, CertReasons carries the verifier's distinct
+	// reason codes — why this program fell back to checked dispatch.
 	Certified   bool     `json:"certified,omitempty"`
 	CertReasons []string `json:"certReasons,omitempty"`
 	Error       string   `json:"error,omitempty"`

@@ -338,17 +338,20 @@ func TestServerDrain(t *testing.T) {
 		RequestTimeout: 30 * time.Second,
 	})
 
-	// The spin count is sized so the call stays in flight for hundreds of
-	// milliseconds even on a fast engine — long enough for the metric
-	// polls below to observe it — while staying inside the step budget.
-	spinWant := uint16((20000 * 55) & 0x7FFF)
+	// The spin count is sized from a measured rate so the call stays in
+	// flight for about a second on any engine — long enough for the metric
+	// polls below to observe it, short enough to finish well inside the
+	// drain deadline even under the race detector — and inside the step
+	// budget.
+	spinN := spinIterations(t, time.Second)
+	spinWant := uint16((spinN * 55) & 0x7FFF)
 	type result struct {
 		status int
 		cr     server.CallResponse
 	}
 	slow := make(chan result, 1)
 	go func() {
-		st, cr := call(t, ts, server.CallRequest{Module: "srv", Proc: "spin", Args: []int64{20000}})
+		st, cr := call(t, ts, server.CallRequest{Module: "srv", Proc: "spin", Args: []int64{spinN}})
 		slow <- result{st, cr}
 	}()
 	waitMetric(t, ts, "fpc_server_in_flight", 1)
@@ -390,6 +393,21 @@ func TestServerDrain(t *testing.T) {
 		// labeled series are parsed as their own keys by scrapeMetrics
 		t.Error("draining rejection not counted")
 	}
+}
+
+// spinIterations times a short spin on a separate server and returns the
+// iteration count that keeps spin running for about target, clamped to
+// [probe, 20000] (20000 iterations fit TestServerDrain's step budget).
+func spinIterations(t *testing.T, target time.Duration) int64 {
+	t.Helper()
+	const probe = 200
+	_, ts := newTestServer(t, server.Config{})
+	start := time.Now()
+	if st, _ := call(t, ts, server.CallRequest{Module: "srv", Proc: "spin", Args: []int64{probe}}); st != http.StatusOK {
+		t.Fatalf("spin probe = %d, want 200", st)
+	}
+	perIter := max(time.Since(start)/probe, time.Nanosecond)
+	return min(max(int64(target/perIter), probe), 20000)
 }
 
 // TestServerBadRequests: malformed bodies and unresolvable procedures are

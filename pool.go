@@ -29,8 +29,8 @@ type Pool struct {
 // NewPool loads prog once under cfg and returns a pool of machines over
 // the shared image. The load is opportunistically verified: when the
 // static verifier grants the stack-bounds certificate the pool serves the
-// certified image — the check-free handler table —
-// which is byte-identical in behaviour to the checked one (a continuously
+// certified image, whose machines skip the pre-dispatch stack-window test
+// and are byte-identical in behaviour to checked ones (a continuously
 // fuzzed invariant, see internal/difffuzz). A program the verifier rejects
 // or cannot certify is served from the plain checked image exactly as
 // before; NewPool never rejects a program LoadImage accepts.
