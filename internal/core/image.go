@@ -230,7 +230,6 @@ func (img *LoadedImage) NewMachine() (*Machine, error) {
 		resetElide: img.resetElide,
 		certified:  img.certified,
 	}
-	m.rec = histRecorder{&m.metrics}
 	m.m.LoadFrom(img.boot)
 	h, err := frames.Adopt(m.m, img.heapConfig(), img.heapBoot)
 	if err != nil {

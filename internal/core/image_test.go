@@ -82,54 +82,9 @@ func TestImageConfigNormalized(t *testing.T) {
 	}
 }
 
-// TestSetRecorderNop: with the no-op recorder the per-transfer histograms
-// stay empty while every plain counter still accumulates, and the numbers
-// match a default-recorder run exactly.
-func TestSetRecorderNop(t *testing.T) {
-	img, p := buildImage(t, ConfigFastCalls)
-	withHist, err := img.NewMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := withHist.Call(img.Entry(), p.Args...); err != nil {
-		t.Fatal(err)
-	}
-	ref := withHist.Metrics()
-
-	quiet, err := img.NewMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	quiet.SetRecorder(nil)
-	if _, err := quiet.Call(img.Entry(), p.Args...); err != nil {
-		t.Fatal(err)
-	}
-	got := quiet.Metrics()
-	if got.Instructions != ref.Instructions || got.Cycles != ref.Cycles ||
-		got.FastTransfers != ref.FastTransfers || got.ChargedRefs != ref.ChargedRefs {
-		t.Fatalf("no-op recorder changed the counters:\nwith %+v\nquiet %+v", ref, got)
-	}
-	for k := range got.CyclesPer {
-		if got.CyclesPer[k].Count() != 0 || got.RefsPer[k].Count() != 0 {
-			t.Fatalf("kind %d histogram observed %d samples under the no-op recorder",
-				k, got.CyclesPer[k].Count())
-		}
-		if ref.Transfers[k] != got.Transfers[k] {
-			t.Fatalf("transfer counts diverged for kind %d", k)
-		}
-	}
-	// The recorder survives Reset.
-	quiet.Reset()
-	if _, err := quiet.Call(img.Entry(), p.Args...); err != nil {
-		t.Fatal(err)
-	}
-	if n := quiet.Metrics().CyclesPer[KindReturn].Count(); n != 0 {
-		t.Fatalf("recorder did not survive Reset: %d samples", n)
-	}
-}
-
 // TestMetricsDefensiveCopy: metrics handed to a caller must not change
-// when the machine keeps running or is reset.
+// when the machine keeps running or is reset — including on the pooled
+// path, where Reset clears the histograms' storage in place for reuse.
 func TestMetricsDefensiveCopy(t *testing.T) {
 	img, p := buildImage(t, ConfigFastCalls)
 	m, err := img.NewMachine()
@@ -153,6 +108,38 @@ func TestMetricsDefensiveCopy(t *testing.T) {
 	}
 	if m.Metrics().Instructions != 0 {
 		t.Fatal("Reset did not clear the machine's own metrics")
+	}
+
+	// The pooled path, as fpc.Pool drives one machine: each call hands out
+	// one detached copy (CallResult.Metrics), merges the live counters into
+	// the pool aggregate and Resets. A copy handed out must stay equal to
+	// its own clone, and to a fresh machine's run, while the same machine
+	// serves three more calls.
+	fresh, err := img.NewMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Call(img.Entry(), p.Args...); err != nil {
+		t.Fatal(err)
+	}
+	var agg Metrics
+	var handed *Metrics
+	for i := 0; i < 4; i++ {
+		if _, err := m.Call(img.Entry(), p.Args...); err != nil {
+			t.Fatal(err)
+		}
+		mt := m.Metrics()
+		m.MergeMetricsInto(&agg)
+		m.Reset()
+		if i == 0 {
+			handed, snapshot = mt, mt.Clone()
+		}
+	}
+	if !reflect.DeepEqual(handed, snapshot) || !reflect.DeepEqual(handed, fresh.Metrics()) {
+		t.Fatal("pooled calls mutated a CallResult's metrics already handed out")
+	}
+	if agg.Instructions != 4*handed.Instructions || agg.RefsPer[KindReturn].Count() != 4*handed.RefsPer[KindReturn].Count() {
+		t.Fatalf("aggregate of 4 pooled calls: %d instructions, want %d", agg.Instructions, 4*handed.Instructions)
 	}
 }
 

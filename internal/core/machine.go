@@ -135,7 +135,6 @@ type Machine struct {
 	halted  bool
 	cycles  uint64 // non-memory cycles; memory cycles derive from reference counts
 	metrics Metrics
-	rec     Recorder // per-transfer cost observer; swap via SetRecorder
 
 	// Per-run execution bounds (a serving layer's request budget and
 	// deadline). runBudget bounds the next Run's step count below the
@@ -175,7 +174,7 @@ func (m *Machine) Image() *LoadedImage { return m.img }
 // the verifier's write-free heap-effects certificate and the dirty window
 // confirms the run wrote no data word, even that copy (and the allocator
 // rewind behind it) is elided. Metrics, output and all processor registers
-// are cleared; the recorder installed by SetRecorder is kept.
+// are cleared; the metrics' histogram storage is kept for the next run.
 func (m *Machine) Reset() {
 	if m.resetElide && m.m.DirtyWords() == 0 {
 		// Write-free run over a write-free-certified image: the store still
@@ -199,10 +198,10 @@ func (m *Machine) Reset() {
 	m.curFSI, m.curRet = -1, false
 	m.stackBank = -1
 	m.trapCtx = 0
-	m.trapSaves = nil
+	m.trapSaves = m.trapSaves[:0]
 	m.halted = false
 	m.cycles = 0
-	m.metrics = Metrics{}
+	m.metrics.Clear()
 	m.snapRefs, m.snapCyc = 0, 0
 	m.runBudget = 0
 	m.cancel = nil
@@ -244,9 +243,24 @@ func (m *Machine) refs() uint64 {
 // detached from the machine: further runs, or a pooled machine's Reset
 // and reuse, cannot retroactively mutate metrics already handed out.
 func (m *Machine) Metrics() *Metrics {
+	m.finishMetrics()
+	return m.metrics.Clone()
+}
+
+// MergeMetricsInto folds the accumulated counters into agg — the same sum
+// as agg.Merge(m.Metrics()) without the detached copy, so a pool's
+// per-run aggregate accounting allocates nothing once agg's histograms
+// have grown to the values they see.
+func (m *Machine) MergeMetricsInto(agg *Metrics) {
+	m.finishMetrics()
+	agg.Merge(&m.metrics)
+}
+
+// finishMetrics derives the totals that are not counted as they happen:
+// charged references from the store's counters, and cycles from those.
+func (m *Machine) finishMetrics() {
 	m.metrics.ChargedRefs = m.refs()
 	m.metrics.Cycles = m.cycles + CycMemRef*m.metrics.ChargedRefs
-	return m.metrics.Clone()
 }
 
 // snapshot marks the start of a transfer for per-kind cost accounting.
@@ -258,15 +272,14 @@ func (m *Machine) snapshot() {
 // recordTransfer attributes the cost since the last snapshot to kind. A
 // call or return that needed no references and only the standard refill is
 // indistinguishable from an unconditional jump — the headline statistic.
-// The histogram observation goes through the recorder so hot loops can
-// turn it off (SetRecorder(nil)) without a branch here.
 func (m *Machine) recordTransfer(kind TransferKind) {
 	refs := m.refs() - m.snapRefs
 	cyc := (m.cycles - m.snapCyc) + CycMemRef*refs + CycDispatch
 	if kind != KindXfer && cyc == JumpCycles {
 		m.metrics.FastTransfers++
 	}
-	m.rec.Transfer(kind, refs, cyc)
+	m.metrics.RefsPer[kind].Observe(int(refs))
+	m.metrics.CyclesPer[kind].Observe(int(cyc))
 }
 
 // Mem exposes the store for tests and trap handlers.
@@ -383,19 +396,19 @@ func (m *Machine) acquireBank(owner int32) int {
 	return b
 }
 
-// reloadBank assigns and fills a bank for frame lf (§7.1 underflow).
+// reloadBank assigns and fills a bank for frame lf (§7.1 underflow). The
+// frame's words are read straight into the freshly assigned (clean) bank.
 func (m *Machine) reloadBank(lf mem.Addr) int {
 	b := m.acquireBank(int32(lf))
 	if b < 0 {
 		return -1
 	}
 	m.metrics.BankUnderflows++
-	words := make([]uint16, m.cfg.BankWords)
+	words := m.banks.Get(b).Words
 	for i := range words {
 		words[i] = m.read(lf + mem.Addr(i))
 		m.metrics.BankReloadWords++
 	}
-	m.banks.Load(b, words)
 	return b
 }
 
@@ -527,8 +540,9 @@ func (m *Machine) popU() mem.Word {
 }
 
 type trapSave struct {
-	calleeLF mem.Addr   // the handler frame whose return restores the save
-	words    []mem.Word // the trapper's stack below the trap point
+	calleeLF mem.Addr                 // the handler frame whose return restores the save
+	n        int                      // how many words were saved
+	words    [EvalStackDepth]mem.Word // the trapper's stack below the trap point
 }
 
 // trap routes a trap code: to the in-machine handler context when one is
@@ -541,7 +555,7 @@ func (m *Machine) trapXfer(code int) (bool, error) {
 	if m.trapCtx != 0 {
 		// Preserve the trapper's partial evaluation stack; the handler
 		// receives only the trap code.
-		saved := append([]mem.Word(nil), m.stack[:m.sp]...)
+		save := trapSave{n: m.sp, words: m.stack}
 		m.sp = 0
 		if err := m.push(mem.Word(code)); err != nil {
 			return false, err
@@ -557,7 +571,8 @@ func (m *Machine) trapXfer(code int) (bool, error) {
 		if err := m.enterProc(gf, cb, true, entry, fsi, KindXfer); err != nil {
 			return false, err
 		}
-		m.trapSaves = append(m.trapSaves, trapSave{calleeLF: m.lf, words: saved})
+		save.calleeLF = m.lf
+		m.trapSaves = append(m.trapSaves, save)
 		return true, nil
 	}
 	return false, m.trap(code)
@@ -570,15 +585,15 @@ func (m *Machine) restoreTrapSave(retired mem.Addr) error {
 	if n == 0 || m.trapSaves[n-1].calleeLF != retired {
 		return nil
 	}
-	save := m.trapSaves[n-1]
+	save := &m.trapSaves[n-1]
 	m.trapSaves = m.trapSaves[:n-1]
-	if len(save.words)+m.sp > EvalStackDepth {
+	if save.n+m.sp > EvalStackDepth {
 		return fmt.Errorf("%w: trap restore overflows", ErrStack)
 	}
-	results := append([]mem.Word(nil), m.stack[:m.sp]...)
-	copy(m.stack[:], save.words)
-	copy(m.stack[len(save.words):], results)
-	m.sp = len(save.words) + len(results)
+	results := m.stack
+	copy(m.stack[:], save.words[:save.n])
+	copy(m.stack[save.n:], results[:m.sp])
+	m.sp += save.n
 	return nil
 }
 

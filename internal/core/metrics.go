@@ -99,6 +99,18 @@ func (m *Metrics) Clone() *Metrics {
 	return &c
 }
 
+// Clear zeroes every counter and empties the histograms in place, keeping
+// their storage: a machine's Reset clears its metrics this way, so a
+// reused machine records transfers without allocating.
+func (m *Metrics) Clear() {
+	for k := range m.RefsPer {
+		m.RefsPer[k].Clear()
+		m.CyclesPer[k].Clear()
+	}
+	refs, cycles := m.RefsPer, m.CyclesPer
+	*m = Metrics{RefsPer: refs, CyclesPer: cycles}
+}
+
 // Merge folds other into m — the aggregate accounting a machine pool keeps
 // across runs. Every counter sums; the per-transfer histograms merge.
 func (m *Metrics) Merge(other *Metrics) {

@@ -174,10 +174,11 @@ func (m *Machine) Snapshot() (*Continuation, error) {
 	}
 	if len(m.trapSaves) > 0 {
 		c.TrapSaves = make([]TrapSave, len(m.trapSaves))
-		for i, ts := range m.trapSaves {
+		for i := range m.trapSaves {
+			ts := &m.trapSaves[i]
 			c.TrapSaves[i] = TrapSave{
 				CalleeLF: ts.calleeLF,
-				Words:    append([]mem.Word(nil), ts.words...),
+				Words:    append([]mem.Word(nil), ts.words[:ts.n]...),
 			}
 		}
 	}
@@ -208,6 +209,11 @@ func (m *Machine) Restore(c *Continuation) error {
 	if len(c.Stack) > EvalStackDepth {
 		return fmt.Errorf("%w: %d stack words", ErrBadContinuation, len(c.Stack))
 	}
+	for _, ts := range c.TrapSaves {
+		if len(ts.Words) > EvalStackDepth {
+			return fmt.Errorf("%w: %d saved trap words", ErrBadContinuation, len(ts.Words))
+		}
+	}
 	if c.MemLo < 0 || c.MemLo+len(c.MemWords) > mem.Size {
 		return fmt.Errorf("%w: memory delta [%d,%d) outside the data space", ErrBadContinuation, c.MemLo, c.MemLo+len(c.MemWords))
 	}
@@ -226,14 +232,10 @@ func (m *Machine) Restore(c *Continuation) error {
 	m.sp = len(c.Stack)
 	m.curFSI, m.curRet = c.CurFSI, c.CurRet
 	m.trapCtx = c.TrapCtx
-	if len(c.TrapSaves) > 0 {
-		m.trapSaves = make([]trapSave, len(c.TrapSaves))
-		for i, ts := range c.TrapSaves {
-			m.trapSaves[i] = trapSave{
-				calleeLF: ts.CalleeLF,
-				words:    append([]mem.Word(nil), ts.Words...),
-			}
-		}
+	for _, ts := range c.TrapSaves {
+		save := trapSave{calleeLF: ts.CalleeLF}
+		save.n = copy(save.words[:], ts.Words)
+		m.trapSaves = append(m.trapSaves, save)
 	}
 	m.halted = c.Halted
 	m.Output = append([]mem.Word(nil), c.Output...)

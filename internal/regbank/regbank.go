@@ -29,6 +29,11 @@ type Bank struct {
 type File struct {
 	banks []Bank
 	clock uint64
+	// victim holds Acquire's copy of an evicted bank's words, and released
+	// ReleaseAll's result: buffers the File owns and reuses, so spilling
+	// banks allocates nothing.
+	victim   []uint16
+	released []Bank
 }
 
 // New returns a file of n banks of the given word size. n=0 disables
@@ -37,7 +42,7 @@ func New(n, words int) *File {
 	if words > 64 {
 		panic("regbank: banks larger than 64 words not supported (dirty mask)")
 	}
-	f := &File{banks: make([]Bank, n)}
+	f := &File{banks: make([]Bank, n), victim: make([]uint16, words)}
 	for i := range f.banks {
 		f.banks[i] = Bank{Words: make([]uint16, words), Owner: OwnerFree}
 	}
@@ -82,9 +87,10 @@ func (f *File) StackBank() int {
 // is free it selects the oldest frame-owning bank as the victim and
 // returns needFlush=true — the machine must write the victim's dirty words
 // to its frame before reassignment (§7.1: "the contents of the oldest bank
-// is written out into the frame"). The stack bank is never chosen as a
-// victim. Returns bank=-1 if banking is disabled or every bank is the
-// stack.
+// is written out into the frame"). The victim's words are a copy in a
+// buffer the File owns, valid until the next Acquire. The stack bank is
+// never chosen as a victim. Returns bank=-1 if banking is disabled or every
+// bank is the stack.
 func (f *File) Acquire(owner int32) (bank int, victim Bank, needFlush bool) {
 	if len(f.banks) == 0 {
 		return -1, Bank{}, false
@@ -107,10 +113,11 @@ func (f *File) Acquire(owner int32) (bank int, victim Bank, needFlush bool) {
 	if oldest == -1 {
 		return -1, Bank{}, false
 	}
-	victim = f.banks[oldest]
-	victimCopy := Bank{Words: append([]uint16(nil), victim.Words...), Dirty: victim.Dirty, Owner: victim.Owner}
+	v := &f.banks[oldest]
+	victim = Bank{Words: f.victim, Dirty: v.Dirty, Owner: v.Owner}
+	copy(victim.Words, v.Words)
 	f.assign(oldest, owner)
-	return oldest, victimCopy, true
+	return oldest, victim, true
 }
 
 func (f *File) assign(i int, owner int32) {
@@ -237,18 +244,22 @@ func (f *File) Restore(s State) {
 	}
 }
 
-// ReleaseAll frees every bank, returning copies of the frame-owned ones so
-// the machine can flush them (process switch / trap fallback: "all the
-// banks are flushed into storage").
+// ReleaseAll frees every bank, returning the frame-owned ones so the
+// machine can flush them (process switch / trap fallback: "all the banks
+// are flushed into storage"). The result lives in a buffer the File owns
+// and each entry's Words is the freed bank's own storage, so it is valid
+// until the next call that assigns or writes a bank (Acquire, Write,
+// Load, Reset, Restore) or the next ReleaseAll.
 func (f *File) ReleaseAll() []Bank {
-	var out []Bank
+	out := f.released[:0]
 	for i := range f.banks {
 		b := &f.banks[i]
 		if b.Owner >= 0 {
-			out = append(out, Bank{Words: append([]uint16(nil), b.Words...), Dirty: b.Dirty, Owner: b.Owner})
+			out = append(out, Bank{Words: b.Words, Dirty: b.Dirty, Owner: b.Owner})
 		}
 		b.Owner = OwnerFree
 		b.Dirty = 0
 	}
+	f.released = out
 	return out
 }

@@ -5,16 +5,45 @@ import (
 	"io"
 	"net/http"
 	"sort"
-
-	"repro/internal/stats"
 )
 
 // latencyBuckets are the upper bounds of the latency histogram exposition,
 // in seconds. Samples are recorded in microseconds; the list spans the
 // simulator's realistic per-request range (tens of µs to seconds).
-var latencyBuckets = []float64{
+var latencyBuckets = [...]float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
+}
+
+// latencyBoundsUS are latencyBuckets in whole microseconds: a sample of
+// us microseconds falls under bound le exactly when us <= int(le*1e6).
+var latencyBoundsUS = func() (b [len(latencyBuckets)]int64) {
+	for i, le := range latencyBuckets {
+		b[i] = int64(int(le * 1e6))
+	}
+	return b
+}()
+
+// latencyHistogram is the per-request latency record behind the
+// fpc_server_latency_seconds exposition: one count per bucket (samples
+// above the previous bound and at most this one, the last slot holding
+// everything above the largest bound), a sum and a count. Observing a
+// sample is a short scan and an increment, and a scrape copies the value.
+type latencyHistogram struct {
+	counts [len(latencyBuckets) + 1]uint64
+	sumUS  int64
+	n      uint64
+}
+
+// observe records one request latency in microseconds.
+func (h *latencyHistogram) observe(us int64) {
+	i := 0
+	for i < len(latencyBoundsUS) && us > latencyBoundsUS[i] {
+		i++
+	}
+	h.counts[i]++
+	h.sumUS += us
+	h.n++
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -49,7 +78,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	s.mu.Lock()
 	c := s.c
 	queueDepth, inFlight := s.queueDepth, s.inFlight
-	lat := s.latency.Clone()
+	lat := s.latency
 	draining := s.draining
 	type tenantRow struct {
 		name     string
@@ -163,16 +192,17 @@ func (s *Server) writeMetrics(w io.Writer) {
 	writeLatencyHistogram(w, &lat)
 }
 
-// writeLatencyHistogram renders the stats.Histogram of per-request
-// latencies (µs samples) in Prometheus histogram exposition format.
-func writeLatencyHistogram(w io.Writer, h *stats.Histogram) {
+// writeLatencyHistogram renders the per-request latencies in Prometheus
+// histogram exposition format, the bucket counts cumulative.
+func writeLatencyHistogram(w io.Writer, h *latencyHistogram) {
 	const name = "fpc_server_latency_seconds"
 	fmt.Fprintf(w, "# HELP %s Wall-clock latency of executed requests.\n# TYPE %s histogram\n", name, name)
-	for _, le := range latencyBuckets {
-		n := h.CountAtMost(int(le * 1e6))
+	var n uint64
+	for i, le := range latencyBuckets {
+		n += h.counts[i]
 		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, le, n)
 	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count())
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.Sum())/1e6)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.n)
+	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumUS)/1e6)
+	fmt.Fprintf(w, "%s_count %d\n", name, h.n)
 }

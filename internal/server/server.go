@@ -42,7 +42,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/snapshot"
-	"repro/internal/stats"
 )
 
 // Config parameterizes a Server. The zero value of every field selects a
@@ -191,7 +190,7 @@ type Server struct {
 	inFlight   int
 	c          counters
 	tenants    map[string]*tenantState
-	latency    stats.Histogram // microseconds per completed machine run
+	latency    latencyHistogram // microseconds per completed machine run
 }
 
 // counters is the server-side metric set (the pool and registry keep
@@ -403,7 +402,7 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, tn *tenantS
 	s.mu.Lock()
 	s.c.accepted++
 	tn.c.accepted++
-	s.latency.Observe(int(elapsed.Microseconds()))
+	s.latency.observe(elapsed.Microseconds())
 	s.c.stepsServed += steps
 	s.c.cyclesServed += cycles
 	tn.c.steps += steps

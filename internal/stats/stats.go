@@ -41,31 +41,47 @@ func Percent(c, total uint64) string {
 	return fmt.Sprintf("%.1f%%", 100*Ratio(c, total))
 }
 
-// Histogram accumulates integer samples and reports order statistics.
-// The zero value is ready to use.
+// denseLimit bounds the values a Histogram counts in its dense vector:
+// samples in [0, denseLimit) — every per-transfer reference and cycle
+// count the simulator records — are a slice index; anything else goes to
+// an exact overflow map.
+const denseLimit = 256
+
+// Histogram accumulates integer samples and reports order statistics
+// exactly: every distinct value keeps its own count, whichever store holds
+// it. The zero value is ready to use.
+//
+// Samples in [0, denseLimit) are counted in dense, indexed by value, so
+// observing one is an increment and merging two histograms is a vector
+// add. len(dense) is always one past the largest value counted there (0
+// when none is), so two histograms holding the same samples are
+// reflect.DeepEqual whatever their history; capacity beyond that length is
+// zeroed storage kept for reuse after Clear. Values outside the dense range
+// (negative, or denseLimit and up) are counted in sparse.
 type Histogram struct {
-	counts map[int]uint64
+	dense  []uint64
+	sparse map[int]uint64
 	total  uint64
 	sum    int64
 	min    int
 	max    int
 }
 
-// Observe records one sample.
+// Observe records one sample. A value already inside the dense vector's
+// length costs an increment and allocates nothing.
 func (h *Histogram) Observe(v int) {
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
-		h.min, h.max = v, v
+	if uint(v) < uint(len(h.dense)) {
+		// len(dense) > 0 means a sample ≥ v is already counted, so only
+		// the minimum can move.
+		h.dense[v]++
+		h.total++
+		h.sum += int64(v)
+		if v < h.min {
+			h.min = v
+		}
+		return
 	}
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.counts[v]++
-	h.total++
-	h.sum += int64(v)
+	h.ObserveN(v, 1)
 }
 
 // ObserveN records the same sample n times, in constant time — bulk
@@ -75,8 +91,7 @@ func (h *Histogram) ObserveN(v int, n uint64) {
 	if n == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
+	if h.total == 0 {
 		h.min, h.max = v, v
 	}
 	if v < h.min {
@@ -85,31 +100,73 @@ func (h *Histogram) ObserveN(v int, n uint64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.counts[v] += n
+	if v >= 0 && v < denseLimit {
+		h.growDense(v + 1)
+		h.dense[v] += n
+	} else {
+		if h.sparse == nil {
+			h.sparse = make(map[int]uint64)
+		}
+		h.sparse[v] += n
+	}
 	h.total += n
 	h.sum += int64(v) * int64(n)
 }
 
-// Clone returns an independent deep copy of the histogram.
+// growDense extends dense to at least n entries, reusing zeroed capacity
+// before allocating.
+func (h *Histogram) growDense(n int) {
+	if n <= len(h.dense) {
+		return
+	}
+	if n <= cap(h.dense) {
+		h.dense = h.dense[:n]
+		return
+	}
+	c := 2 * cap(h.dense)
+	if c < n {
+		c = n
+	}
+	if c > denseLimit {
+		c = denseLimit
+	}
+	d := make([]uint64, n, c)
+	copy(d, h.dense)
+	h.dense = d
+}
+
+// Clear removes every sample but keeps the storage, so a histogram reused
+// run after run stops allocating once it has seen its largest value.
+func (h *Histogram) Clear() {
+	clear(h.dense)
+	h.dense = h.dense[:0]
+	clear(h.sparse)
+	h.total, h.sum, h.min, h.max = 0, 0, 0, 0
+}
+
+// Clone returns an independent deep copy of the histogram. The dense
+// counts are one slice copy.
 func (h *Histogram) Clone() Histogram {
-	c := *h
-	if h.counts != nil {
-		c.counts = make(map[int]uint64, len(h.counts))
-		for k, v := range h.counts {
-			c.counts[k] = v
+	c := Histogram{total: h.total, sum: h.sum, min: h.min, max: h.max}
+	if len(h.dense) > 0 {
+		c.dense = append([]uint64(nil), h.dense...)
+	}
+	if len(h.sparse) > 0 {
+		c.sparse = make(map[int]uint64, len(h.sparse))
+		for k, v := range h.sparse {
+			c.sparse[k] = v
 		}
 	}
 	return c
 }
 
 // Merge folds other's samples into h (aggregate accounting across pooled
-// machines).
+// machines): a vector add over the dense counts.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.total == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64, len(other.counts))
+	if h.total == 0 {
 		h.min, h.max = other.min, other.max
 	}
 	if other.min < h.min {
@@ -118,8 +175,17 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.max > h.max {
 		h.max = other.max
 	}
-	for k, v := range other.counts {
-		h.counts[k] += v
+	h.growDense(len(other.dense))
+	for i, c := range other.dense {
+		h.dense[i] += c
+	}
+	if len(other.sparse) > 0 {
+		if h.sparse == nil {
+			h.sparse = make(map[int]uint64, len(other.sparse))
+		}
+		for k, v := range other.sparse {
+			h.sparse[k] += v
+		}
 	}
 	h.total += other.total
 	h.sum += other.sum
@@ -171,10 +237,10 @@ func (h *Histogram) Quantile(q float64) int {
 	if need == 0 {
 		need = 1
 	}
-	keys := h.sortedKeys()
+	keys, counts := h.Buckets()
 	var seen uint64
-	for _, k := range keys {
-		seen += h.counts[k]
+	for i, k := range keys {
+		seen += counts[i]
 		if seen >= need {
 			return k
 		}
@@ -190,12 +256,16 @@ func (h *Histogram) FractionAtMost(v int) float64 {
 	return float64(h.CountAtMost(v)) / float64(h.total)
 }
 
-// CountAtMost reports how many samples are ≤ v — the cumulative bucket
-// count a Prometheus-style histogram exposition needs.
+// CountAtMost reports how many samples are ≤ v.
 func (h *Histogram) CountAtMost(v int) uint64 {
 	var n uint64
-	for k, c := range h.counts {
+	for k, c := range h.sparse {
 		if k <= v {
+			n += c
+		}
+	}
+	if v >= 0 {
+		for _, c := range h.dense[:min(v+1, len(h.dense))] {
 			n += c
 		}
 	}
@@ -203,24 +273,37 @@ func (h *Histogram) CountAtMost(v int) uint64 {
 }
 
 // CountOf reports how many samples equal v exactly.
-func (h *Histogram) CountOf(v int) uint64 { return h.counts[v] }
-
-func (h *Histogram) sortedKeys() []int {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
+func (h *Histogram) CountOf(v int) uint64 {
+	if uint(v) < uint(len(h.dense)) {
+		return h.dense[v]
 	}
-	sort.Ints(keys)
-	return keys
+	return h.sparse[v]
 }
 
 // Buckets returns the distinct sample values in ascending order with their
 // counts, for rendering distributions.
 func (h *Histogram) Buckets() ([]int, []uint64) {
-	keys := h.sortedKeys()
-	counts := make([]uint64, len(keys))
-	for i, k := range keys {
-		counts[i] = h.counts[k]
+	sparse := make([]int, 0, len(h.sparse))
+	for k := range h.sparse {
+		sparse = append(sparse, k)
+	}
+	sort.Ints(sparse)
+	keys := make([]int, 0, len(sparse)+len(h.dense))
+	counts := make([]uint64, 0, cap(keys))
+	i := 0
+	for ; i < len(sparse) && sparse[i] < 0; i++ {
+		keys = append(keys, sparse[i])
+		counts = append(counts, h.sparse[sparse[i]])
+	}
+	for v, c := range h.dense {
+		if c != 0 {
+			keys = append(keys, v)
+			counts = append(counts, c)
+		}
+	}
+	for ; i < len(sparse); i++ {
+		keys = append(keys, sparse[i])
+		counts = append(counts, h.sparse[sparse[i]])
 	}
 	return keys, counts
 }

@@ -85,11 +85,11 @@ func (p *Pool) Get() (*Machine, error) {
 
 // Put merges the machine's metrics into the pool aggregate, resets it to
 // boot state, and recycles it. The machine must have come from Get on
-// this pool.
+// this pool. The merge reads the machine's live counters in place; no
+// copy of them is made.
 func (p *Pool) Put(m *Machine) {
-	mt := m.Metrics()
 	p.mu.Lock()
-	p.agg.Merge(mt)
+	m.MergeMetricsInto(&p.agg)
 	p.runs++
 	p.mu.Unlock()
 	m.Reset()

@@ -1,14 +1,16 @@
 // Command benchjson turns `go test -bench` text output into a committed
 // JSON record of dispatch-engine performance. It reads benchmark output
-// from stdin, averages repeated runs of the same benchmark, and writes the
-// result as the "current" block of the output file. The "baseline" block —
-// the pre-refactor numbers a change is judged against — is preserved when
-// the file already has one, and seeded from the measured numbers on the
-// very first run.
+// from stdin and records, for every metric of every benchmark, the median,
+// minimum and maximum over the repeated runs and how many runs there were,
+// so a recorded figure carries its spread. The result is written as the
+// "current" block of the output file. The "baseline" block — the
+// pre-refactor numbers a change is judged against — is carried through
+// byte for byte when the file already has one (older baselines hold plain
+// means), and seeded from the measured numbers on the very first run.
 //
 // Usage:
 //
-//	go test -run '^$' -bench ... -count 3 . | go run ./scripts/benchjson -out BENCH_dispatch.json
+//	go test -run '^$' -bench ... -count 6 -benchmem . | go run ./scripts/benchjson -out BENCH_dispatch.json
 package main
 
 import (
@@ -19,26 +21,36 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
 
+// Stat is one metric's distribution over a benchmark's repeated runs.
+type Stat struct {
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
+	N      int     `json:"n"`
+}
+
 // Block is one recorded measurement set.
 type Block struct {
-	Commit     string                        `json:"commit,omitempty"`
-	Date       string                        `json:"date,omitempty"`
-	Note       string                        `json:"note,omitempty"`
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+	Commit     string                     `json:"commit,omitempty"`
+	Date       string                     `json:"date,omitempty"`
+	Note       string                     `json:"note,omitempty"`
+	Benchmarks map[string]map[string]Stat `json:"benchmarks"`
 }
 
 // File is the whole record: the fixed comparison point plus the latest
-// measurement. The "verify" block belongs to scripts/certfrac and is
-// carried through untouched so a bench refresh never loses the recorded
-// certified fraction.
+// measurement, a Block. The baseline and the "verify" block (which belongs
+// to scripts/certfrac) are carried through untouched, so a bench refresh
+// never rewrites the comparison point or loses the recorded certified
+// fraction; the previous current block, whatever its format, is replaced.
 type File struct {
-	Baseline *Block          `json:"baseline,omitempty"`
-	Current  *Block          `json:"current,omitempty"`
+	Baseline json.RawMessage `json:"baseline,omitempty"`
+	Current  json.RawMessage `json:"current,omitempty"`
 	Verify   json.RawMessage `json:"verify,omitempty"`
 }
 
@@ -64,14 +76,16 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	cur := &Block{Commit: gitHead(), Date: time.Now().Format("2006-01-02"), Note: *note, Benchmarks: bench}
-	f.Current = cur
-	if f.Baseline == nil {
-		seed := *cur
-		seed.Note = "seeded from first measurement"
-		f.Baseline = &seed
+	cur := Block{Commit: gitHead(), Date: time.Now().Format("2006-01-02"), Note: *note, Benchmarks: bench}
+	f.Current, err = json.Marshal(&cur)
+	if err == nil && f.Baseline == nil {
+		cur.Note = "seeded from first measurement"
+		f.Baseline, err = json.Marshal(&cur)
 	}
-	data, err := json.MarshalIndent(&f, "", "  ")
+	var data []byte
+	if err == nil {
+		data, err = json.MarshalIndent(&f, "", "  ")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -84,11 +98,10 @@ func main() {
 }
 
 // parse reads `go test -bench` output and returns, per benchmark name
-// (Benchmark prefix and -P GOMAXPROCS suffix stripped), the mean of each
-// reported metric across repeats.
-func parse(r io.Reader) (map[string]map[string]float64, error) {
-	sums := map[string]map[string]float64{}
-	counts := map[string]int{}
+// (Benchmark prefix and -P GOMAXPROCS suffix stripped), the distribution
+// of each reported metric across repeats.
+func parse(r io.Reader) (map[string]map[string]Stat, error) {
+	runs := map[string]map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -115,23 +128,36 @@ func parse(r io.Reader) (map[string]map[string]float64, error) {
 		if len(metrics) == 0 {
 			continue
 		}
-		if sums[name] == nil {
-			sums[name] = map[string]float64{}
+		if runs[name] == nil {
+			runs[name] = map[string][]float64{}
 		}
 		for unit, v := range metrics {
-			sums[name][unit] += v
+			runs[name][unit] = append(runs[name][unit], v)
 		}
-		counts[name]++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	for name, m := range sums {
-		for unit := range m {
-			m[unit] /= float64(counts[name])
+	out := make(map[string]map[string]Stat, len(runs))
+	for name, m := range runs {
+		out[name] = make(map[string]Stat, len(m))
+		for unit, vs := range m {
+			out[name][unit] = summarize(vs)
 		}
 	}
-	return sums, nil
+	return out, nil
+}
+
+// summarize reports the median (the mean of the middle two for an even
+// count), extremes and count of vs.
+func summarize(vs []float64) Stat {
+	sort.Float64s(vs)
+	n := len(vs)
+	med := vs[n/2]
+	if n%2 == 0 {
+		med = (vs[n/2-1] + vs[n/2]) / 2
+	}
+	return Stat{Median: med, Min: vs[0], Max: vs[n-1], N: n}
 }
 
 // gitHead returns the short commit hash, or "" outside a git checkout.
