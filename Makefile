@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-json bench-serve-json check serve-smoke sched-smoke fuzz-smoke verify-corpus
+.PHONY: build vet test race bench bench-json bench-serve-json ab check serve-smoke sched-smoke fuzz-smoke verify-corpus
 
 build:
 	$(GO) build ./...
@@ -39,10 +39,24 @@ bench-json:
 # hit path (zero verify/link/predecode work) against the cold submit path
 # that pays the full load pipeline per program, and the continuation
 # park/resume cycle (with and without the wire codec) against the cold
-# machine boot a resume avoids.
+# machine boot a resume avoids. Like bench-json: median, min, max and run
+# count of every metric over six runs, B/op and allocs/op included.
 bench-serve-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkRegistry|BenchmarkColdSubmit|BenchmarkSnapshotRestore|BenchmarkSessionRoundTrip|BenchmarkColdBoot' -count 3 ./internal/registry \
+	$(GO) test -run '^$$' -bench 'BenchmarkRegistry|BenchmarkColdSubmit|BenchmarkSnapshotRestore|BenchmarkSessionRoundTrip|BenchmarkColdBoot' -count 6 -benchmem ./internal/registry \
 		| $(GO) run ./scripts/benchjson -out BENCH_serve.json
+
+# Alternating A/B pairs of the end-to-end benchmark (fpcdbench): PARENT
+# (a revision, default HEAD) checked out into a git worktree under
+# .bench_build/ against the working tree, PAIRS pairs of SECONDS-second
+# runs per workload in WORKLOAD (comma-separated), printed as a markdown
+# table with the claim rule applied. TRACE=1 compares per-layer rows.
+WORKLOAD ?= corpus-hot
+PAIRS ?= 10
+SECONDS ?= 20
+PARENT ?= HEAD
+TRACE ?= 0
+ab:
+	$(GO) run ./scripts/abpairs -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) -seconds $(SECONDS) -trace $(TRACE)
 
 # End-to-end smoke of the serving subsystem: start fpcd, drive it with
 # fpcload, scrape /metrics, assert non-zero pooled runs, drain on SIGTERM.
@@ -64,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDifferential -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzPoolReuse -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzParkResume -fuzztime=30s -run '^$$' ./internal/difffuzz
+	$(GO) test -fuzz=FuzzBankFile -fuzztime=10s -run '^$$' ./internal/regbank
 
 # Verifier soundness smoke: sweep seeds 0..19999 through the differential
 # oracle, which now also checks that (a) every generated program is admitted

@@ -96,6 +96,9 @@ func LoadImage(prog *image.Program, cfg Config, opts ...LoadOption) (*LoadedImag
 	if cfg.RegBanks > 0 && cfg.BankWords < image.FrameHeaderWords+1 {
 		return nil, fmt.Errorf("core: banks of %d words cannot hold the frame linkage", cfg.BankWords)
 	}
+	if cfg.RegBanks > 64 {
+		return nil, fmt.Errorf("core: %d register banks; at most 64 are supported", cfg.RegBanks)
+	}
 	if cfg.RegBanks == 1 {
 		return nil, fmt.Errorf("core: a single bank cannot hold both the stack and a frame")
 	}
@@ -225,6 +228,7 @@ func (img *LoadedImage) NewMachine() (*Machine, error) {
 		rs:         ifu.New(img.cfg.ReturnStackDepth),
 		banks:      regbank.New(img.cfg.RegBanks, img.cfg.BankWords),
 		stackBank:  -1,
+		lfBank:     -1,
 		stdFSI:     img.stdFSI,
 		curFSI:     -1,
 		resetElide: img.resetElide,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/frames"
 	"repro/internal/ifu"
@@ -107,6 +108,10 @@ type Machine struct {
 	curFSI    int16 // current frame's size class; -1 unknown
 	curRet    bool  // current frame is retained (valid when curFSI >= 0)
 	stackBank int   // bank holding the evaluation stack, -1 when none
+	// lfBank is the bank shadowing the running frame lf, -1 when none: the
+	// register that keeps every local load and store off regbank.Lookup.
+	// Whatever moves lf or takes its bank away updates it.
+	lfBank int
 
 	rs    *ifu.Stack
 	banks *regbank.File
@@ -196,7 +201,7 @@ func (m *Machine) Reset() {
 	m.stack = [EvalStackDepth]mem.Word{}
 	m.sp = 0
 	m.curFSI, m.curRet = -1, false
-	m.stackBank = -1
+	m.stackBank, m.lfBank = -1, -1
 	m.trapCtx = 0
 	m.trapSaves = m.trapSaves[:0]
 	m.halted = false
@@ -364,36 +369,42 @@ func (m *Machine) frameStore(lf mem.Addr, off int, v mem.Word) {
 	m.write(lf+mem.Addr(off), v)
 }
 
+// bankOf finds the bank shadowing frame lf: the lfBank register for the
+// running frame, a search of the bank file for any other.
 func (m *Machine) bankOf(lf mem.Addr) int {
-	if m.cfg.RegBanks == 0 {
-		return -1
+	if lf == m.lf {
+		return m.lfBank
 	}
 	return m.banks.Lookup(lf)
 }
 
-// flushBank writes a bank's dirty words to its frame (charged) — the §7.1
-// overflow path and the §7.4 pointer fallback.
-func (m *Machine) flushBank(b regbank.Bank) {
+// flushBank writes a bank's dirty words to its frame (charged), in
+// ascending word order — the §7.1 overflow path and the §7.4 pointer
+// fallback.
+func (m *Machine) flushBank(b *regbank.Bank) {
 	lf := mem.Addr(b.Owner)
-	for i := 0; i < len(b.Words); i++ {
-		if b.Dirty&(1<<uint(i)) != 0 {
-			m.write(lf+mem.Addr(i), b.Words[i])
-			m.metrics.BankFlushWords++
-		}
+	for d := b.Dirty; d != 0; d &= d - 1 {
+		i := bits.TrailingZeros64(d)
+		m.write(lf+mem.Addr(i), b.Words[i])
+		m.metrics.BankFlushWords++
 	}
 }
 
-// acquireBank gets a bank for owner, flushing the oldest bank if needed.
+// acquireBank gets a bank for owner, first flushing the victim from its
+// own words when the oldest frame-owned bank is taken.
 func (m *Machine) acquireBank(owner int32) int {
-	b, victim, flushed := m.banks.Acquire(owner)
+	b := m.banks.Victim()
 	if b < 0 {
 		return -1
 	}
-	if flushed && victim.Owner >= 0 {
+	if v := m.banks.Get(b); v.Owner >= 0 {
 		m.metrics.BankOverflows++
-		m.flushBank(victim)
+		m.flushBank(v)
+		if b == m.lfBank {
+			m.lfBank = -1
+		}
 	}
-	return b
+	return m.banks.Acquire(owner)
 }
 
 // reloadBank assigns and fills a bank for frame lf (§7.1 underflow). The
@@ -422,10 +433,11 @@ func (m *Machine) fallback() error {
 			return err
 		}
 	}
-	for _, b := range m.banks.ReleaseAll() {
-		m.flushBank(b)
+	released := m.banks.ReleaseAll()
+	for i := range released {
+		m.flushBank(&released[i])
 	}
-	m.stackBank = -1
+	m.stackBank, m.lfBank = -1, -1
 	return nil
 }
 
@@ -494,15 +506,24 @@ func (m *Machine) freeFrame(lf mem.Addr, fsi int16, retained bool) error {
 	if retained {
 		return nil // the owner frees it explicitly (§4)
 	}
-	if b := m.bankOf(lf); b >= 0 {
-		m.banks.Release(b) // contents unimportant, never written back
-	}
+	m.releaseBank(lf)
 	if m.stdFSI >= 0 && int(fsi) == m.stdFSI && len(m.freeFrames) < m.cfg.FreeFrameStack {
 		m.freeFrames = append(m.freeFrames, lf)
 		m.metrics.FFPushes++
 		return nil
 	}
 	return m.heap.FreeKnown(lf, int(fsi))
+}
+
+// releaseBank frees the bank shadowing frame lf, if any: its contents are
+// unimportant and never written back.
+func (m *Machine) releaseBank(lf mem.Addr) {
+	if b := m.bankOf(lf); b >= 0 {
+		m.banks.Release(b)
+		if b == m.lfBank {
+			m.lfBank = -1
+		}
+	}
 }
 
 // push/pop on the evaluation stack (processor registers: free).

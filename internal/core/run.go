@@ -27,6 +27,7 @@ func (m *Machine) Start(desc mem.Word, args ...mem.Word) error {
 		m.sp++
 	}
 	m.lf, m.gf = 0, 0
+	m.lfBank = -1
 	m.cbValid = false
 	m.curFSI, m.curRet = -1, false
 	m.retCtx = 0

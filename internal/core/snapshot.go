@@ -226,6 +226,7 @@ func (m *Machine) Restore(c *Continuation) error {
 	m.stackBank = c.StackBank
 	m.pc = c.PC
 	m.lf, m.gf = c.LF, c.GF
+	m.lfBank = m.banks.Lookup(m.lf)
 	m.codeBase, m.cbValid = c.CodeBase, c.CBValid
 	m.retCtx = c.RetCtx
 	copy(m.stack[:], c.Stack)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/image"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/regbank"
 )
 
 // The decode-once execution engine. The shared LoadedImage predecodes the
@@ -164,17 +163,31 @@ func hOut(m *Machine, _ *isa.Inst) error {
 	return nil
 }
 
-// Locals. Predecode folded the fast forms' index into Arg.
+// Locals. Predecode folded the fast forms' index into Arg. A word the
+// running frame's bank shadows is one test of the lfBank register away;
+// frameLoad and frameStore take every other case.
 
 func hLoadLocal(m *Machine, in *isa.Inst) error {
 	m.metrics.LocalVarRefs++
-	m.pushU(m.frameLoad(m.lf, image.FrameHeaderWords+int(in.Arg)))
+	off := image.FrameHeaderWords + int(in.Arg)
+	if b := m.lfBank; b >= 0 && off < m.cfg.BankWords {
+		m.metrics.BankHits++
+		m.pushU(m.banks.Read(b, off))
+		return nil
+	}
+	m.pushU(m.frameLoad(m.lf, off))
 	return nil
 }
 
 func hStoreLocal(m *Machine, in *isa.Inst) error {
 	m.metrics.LocalVarRefs++
-	m.frameStore(m.lf, image.FrameHeaderWords+int(in.Arg), m.popU())
+	off := image.FrameHeaderWords + int(in.Arg)
+	if b := m.lfBank; b >= 0 && off < m.cfg.BankWords {
+		m.metrics.BankHits++
+		m.banks.Write(b, off, m.popU())
+		return nil
+	}
+	m.frameStore(m.lf, off, m.popU())
 	return nil
 }
 
@@ -534,10 +547,10 @@ func (m *Machine) directCall(hdr uint32) error {
 // rules out keeping the frame in a register bank, so the bank is flushed
 // and released and the frame flagged.
 func (m *Machine) localAddress(n int) {
-	if b := m.bankOf(m.lf); b >= 0 {
-		bank := m.banks.Get(b)
-		m.flushBank(regbank.Bank{Words: bank.Words, Dirty: bank.Dirty, Owner: bank.Owner})
+	if b := m.lfBank; b >= 0 {
+		m.flushBank(m.banks.Get(b))
 		m.banks.Release(b)
+		m.lfBank = -1
 		m.metrics.PointerFlushes++
 	}
 	m.heap.SetFlag(m.lf, frames.FlagPointers)

@@ -77,26 +77,29 @@ func (m *Machine) enterProc(gf mem.Addr, cb uint32, cbValid bool, entry uint32, 
 	if m.cfg.RegBanks > 0 {
 		// §7.2: the bank holding the evaluation stack is renamed to shadow
 		// the callee's frame; the arguments appear as the first locals
-		// with no data movement.
+		// with no data movement. (The simulator keeps the evaluation stack
+		// in m.stack, so it copies the words the bank window holds once.)
 		b := m.stackBank
 		if b < 0 {
 			b = m.acquireBank(regbank.OwnerStack)
 		}
-		for i := 0; i < m.sp; i++ {
-			if off := image.FrameHeaderWords + i; off < m.cfg.BankWords {
-				m.banks.Write(b, off, m.stack[i])
-			} else {
-				// argument beyond the bank window: into storage (§7.1's
-				// "references to the shadowed words" only covers the
-				// first bank-size words of the frame)
-				m.write(newLF+mem.Addr(image.FrameHeaderWords+i), m.stack[i])
-				m.metrics.ArgWordsMoved++
-			}
+		bank := m.banks.Get(b)
+		n := copy(bank.Words[image.FrameHeaderWords:], m.stack[:m.sp])
+		bank.Words[0], bank.Words[1] = returnLink, gf
+		bank.Dirty |= (1<<uint(n)-1)<<image.FrameHeaderWords | 1<<0 | 1<<1
+		for i := n; i < m.sp; i++ {
+			// argument beyond the bank window: into storage (§7.1's
+			// "references to the shadowed words" only covers the first
+			// bank-size words of the frame)
+			m.write(newLF+mem.Addr(image.FrameHeaderWords+i), m.stack[i])
+			m.metrics.ArgWordsMoved++
 		}
-		m.banks.Write(b, 0, returnLink)
-		m.banks.Write(b, 1, gf)
 		m.banks.Rename(b, int32(newLF))
 		m.metrics.BankRenames++
+		// Set before the stack acquire, so that acquireBank — which clears
+		// lfBank whenever it spills the bank lfBank names — covers the
+		// callee's bank too.
+		m.lfBank = b
 		m.stackBank = m.acquireBank(regbank.OwnerStack)
 	} else {
 		m.write(newLF+0, returnLink)
@@ -139,8 +142,13 @@ func (m *Machine) doReturn() error {
 		m.lf, m.gf, m.pc = mem.Addr(e.LF), mem.Addr(e.GF), e.PC
 		m.cbValid = false
 		m.curFSI, m.curRet = e.FSI, e.Retained
-		if m.cfg.RegBanks > 0 && m.lf != 0 && m.banks.Lookup(uint16(m.lf)) < 0 {
-			m.reloadBank(m.lf)
+		m.lfBank = -1
+		if m.cfg.RegBanks > 0 && m.lf != 0 {
+			b := m.banks.Lookup(m.lf)
+			if b < 0 {
+				b = m.reloadBank(m.lf)
+			}
+			m.lfBank = b
 		}
 		m.cycles += CycRefill
 		m.metrics.Transfers[KindReturn]++
@@ -177,9 +185,15 @@ func (m *Machine) xferIn(ctx mem.Word, kind TransferKind) error {
 	if f >= image.HeapLimit || f < image.GlobalsBase {
 		return fmt.Errorf("%w: frame %04x", ErrBadContext, ctx)
 	}
-	if m.cfg.RegBanks > 0 && m.banks.Lookup(uint16(f)) < 0 {
-		m.reloadBank(f)
+	// f becomes the running frame here, so the frame accesses below go
+	// through its bank register.
+	b := -1
+	if m.cfg.RegBanks > 0 {
+		if b = m.banks.Lookup(f); b < 0 {
+			b = m.reloadBank(f)
+		}
 	}
+	m.lf, m.lfBank = f, b
 	gfw := m.frameLoad(f, 1)
 	if gfw&embryoBit != 0 {
 		// First transfer into a created context: deliver the argument
@@ -199,7 +213,7 @@ func (m *Machine) xferIn(ctx mem.Word, kind TransferKind) error {
 	if err != nil {
 		return err
 	}
-	m.lf, m.gf = f, gf
+	m.gf = gf
 	m.codeBase, m.cbValid = cb, true
 	m.pc = cb + uint32(relpc)
 	m.curFSI, m.curRet = -1, false
@@ -266,9 +280,7 @@ func (m *Machine) doFree(ctx mem.Word) error {
 	if hdr&(frames.FlagRetained|frames.FlagPointers) != 0 {
 		m.write(lf-frames.Overhead, mem.Word(fsi)) // clean the flags for reuse
 	}
-	if b := m.bankOf(lf); b >= 0 {
-		m.banks.Release(b)
-	}
+	m.releaseBank(lf)
 	if m.stdFSI >= 0 && fsi == m.stdFSI && len(m.freeFrames) < m.cfg.FreeFrameStack {
 		m.freeFrames = append(m.freeFrames, lf)
 		m.metrics.FFPushes++

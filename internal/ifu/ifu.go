@@ -29,23 +29,38 @@ type Entry struct {
 	CalleeLF uint16
 }
 
-// Stack is the IFU return stack. The zero value is unusable; call New.
+// Stack is the IFU return stack: a fixed ring of depth slots, so pushing
+// onto a full stack overwrites the oldest entry in place. The zero value is
+// unusable; call New.
 type Stack struct {
-	entries []Entry
-	depth   int
+	ring  []Entry // len == depth
+	head  int     // slot of the oldest live entry
+	n     int     // live entries
+	depth int
+	// flushed holds Flush's result: a buffer the stack owns and reuses.
+	flushed []Entry
 }
 
 // New returns a return stack holding up to depth entries; depth 0 disables
 // the optimization (every operation misses).
 func New(depth int) *Stack {
-	return &Stack{entries: make([]Entry, 0, depth), depth: depth}
+	return &Stack{ring: make([]Entry, depth), depth: depth, flushed: make([]Entry, 0, depth)}
 }
 
 // Depth reports the configured capacity.
 func (s *Stack) Depth() int { return s.depth }
 
 // Len reports the number of live entries.
-func (s *Stack) Len() int { return len(s.entries) }
+func (s *Stack) Len() int { return s.n }
+
+// slot maps the i-th live entry, oldest first, to its ring slot.
+func (s *Stack) slot(i int) int {
+	j := s.head + i
+	if j >= s.depth {
+		j -= s.depth
+	}
+	return j
+}
 
 // Push records a suspended caller. If the stack is full the oldest entry
 // is evicted and returned with evicted=true: the machine must flush it to
@@ -54,32 +69,42 @@ func (s *Stack) Push(e Entry) (old Entry, evicted bool) {
 	if s.depth == 0 {
 		return e, true
 	}
-	if len(s.entries) == s.depth {
-		old = s.entries[0]
-		copy(s.entries, s.entries[1:])
-		s.entries[len(s.entries)-1] = e
+	if s.n == s.depth {
+		old = s.ring[s.head]
+		s.ring[s.head] = e
+		if s.head++; s.head == s.depth {
+			s.head = 0
+		}
 		return old, true
 	}
-	s.entries = append(s.entries, e)
+	s.ring[s.slot(s.n)] = e
+	s.n++
 	return Entry{}, false
 }
 
 // Pop removes and returns the most recent entry. ok is false when the
 // stack is empty (the return must take the general path).
 func (s *Stack) Pop() (Entry, bool) {
-	if len(s.entries) == 0 {
+	if s.n == 0 {
 		return Entry{}, false
 	}
-	e := s.entries[len(s.entries)-1]
-	s.entries = s.entries[:len(s.entries)-1]
-	return e, true
+	s.n--
+	return s.ring[s.slot(s.n)], true
 }
 
 // Reset discards every entry without returning them — the power-on state,
 // used when a machine is rebooted from its image snapshot (nothing needs
 // flushing: the whole store is being restored anyway).
 func (s *Stack) Reset() {
-	s.entries = s.entries[:0]
+	s.head, s.n = 0, 0
+}
+
+// appendEntries appends the live entries to dst, oldest first.
+func (s *Stack) appendEntries(dst []Entry) []Entry {
+	for i := 0; i < s.n; i++ {
+		dst = append(dst, s.ring[s.slot(i)])
+	}
+	return dst
 }
 
 // Entries returns an independent copy of the live entries, oldest first,
@@ -87,10 +112,10 @@ func (s *Stack) Reset() {
 // snapshot needs. Unlike Flush nothing is emptied and nothing needs to be
 // written to storage: the suspended state stays exactly as it is.
 func (s *Stack) Entries() []Entry {
-	if len(s.entries) == 0 {
+	if s.n == 0 {
 		return nil
 	}
-	return append([]Entry(nil), s.entries...)
+	return s.appendEntries(make([]Entry, 0, s.n))
 }
 
 // LoadEntries replaces the stack contents with a copy of entries (oldest
@@ -101,14 +126,14 @@ func (s *Stack) LoadEntries(entries []Entry) {
 	if len(entries) > s.depth {
 		panic("ifu: LoadEntries exceeds configured depth")
 	}
-	s.entries = append(s.entries[:0], entries...)
+	s.head, s.n = 0, copy(s.ring, entries)
 }
 
 // Flush empties the stack, returning the entries oldest-first so the
-// machine can write each to storage.
+// machine can write each to storage. The result lives in a buffer the
+// stack owns, valid until the next Flush.
 func (s *Stack) Flush() []Entry {
-	out := make([]Entry, len(s.entries))
-	copy(out, s.entries)
-	s.entries = s.entries[:0]
+	out := s.appendEntries(s.flushed[:0])
+	s.head, s.n = 0, 0
 	return out
 }

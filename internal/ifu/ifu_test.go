@@ -2,6 +2,7 @@ package ifu
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -78,15 +79,17 @@ func TestFlushReturnsOldestFirst(t *testing.T) {
 
 func TestRandomSequenceMatchesModel(t *testing.T) {
 	// Property: against a simple slice model, Push/Pop/Flush behave as a
-	// bounded LIFO with oldest-eviction.
+	// bounded LIFO with oldest-eviction, and Entries reads the live entries
+	// oldest first wherever the ring has wrapped to; LoadEntries of a
+	// capture restores it.
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		depth := 1 + rng.Intn(6)
 		s := New(depth)
 		var model []Entry
 		for op := 0; op < 200; op++ {
-			switch rng.Intn(3) {
-			case 0:
+			switch rng.Intn(5) {
+			case 0, 4:
 				e := Entry{LF: uint16(rng.Intn(1000)), PC: uint32(rng.Intn(1 << 20))}
 				old, evicted := s.Push(e)
 				model = append(model, e)
@@ -120,9 +123,16 @@ func TestRandomSequenceMatchesModel(t *testing.T) {
 					}
 				}
 				model = model[:0]
+			case 3:
+				// Re-load the stack from its own capture (a Restore).
+				s.Reset()
+				s.LoadEntries(append([]Entry(nil), model...))
 			}
 			if s.Len() != len(model) {
 				t.Fatalf("len mismatch")
+			}
+			if got := s.Entries(); len(got) != len(model) || (len(got) > 0 && !reflect.DeepEqual(got, model)) {
+				t.Fatalf("Entries %v, model %v", got, model)
 			}
 		}
 	}

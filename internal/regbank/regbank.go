@@ -9,7 +9,16 @@
 // The package is pure bookkeeping — the machine moves the actual words and
 // charges memory references on flush and reload, keeping the cost model in
 // one place.
+//
+// Victim, Acquire, Rename, Release, Read and Write take constant time in
+// the number of banks: a mask of free banks and a recency list of the
+// frame-owned banks, both derived from the owners and ages, name the bank
+// the next Acquire takes without a scan. Lookup still searches, over a
+// packed copy of the owners; the machine keeps the running frame's bank in
+// a register of its own.
 package regbank
+
+import "math/bits"
 
 // Owner values for banks not shadowing a frame.
 const (
@@ -17,7 +26,10 @@ const (
 	OwnerStack = -2
 )
 
-// Bank is one register bank.
+// Bank is one register bank. Its fields are read-only outside the
+// package, except that a caller may change Words and Dirty in place (the
+// machine's one-copy argument delivery); ownership changes only through
+// the File's methods, which keep the derived free mask and recency list.
 type Bank struct {
 	Words []uint16
 	Dirty uint64 // bit i set: word i written since assignment/reload
@@ -29,10 +41,19 @@ type Bank struct {
 type File struct {
 	banks []Bank
 	clock uint64
-	// victim holds Acquire's copy of an evicted bank's words, and released
-	// ReleaseAll's result: buffers the File owns and reuses, so spilling
-	// banks allocates nothing.
-	victim   []uint16
+	// free has bit i set when bank i is free. prev and next link the
+	// frame-owned banks in ascending age through the sentinel at index
+	// len(banks): next[sentinel] is the least recently assigned or renamed
+	// frame-owned bank, the overflow victim. These and owners below are
+	// derived from the banks' owners and ages, so Reset, Restore and
+	// ReleaseAll rebuild them.
+	free       uint64
+	prev, next []int
+	// owners mirrors banks[i].Owner, packed so that Lookup scans one
+	// cache line instead of the banks themselves.
+	owners []int32
+	// released holds ReleaseAll's result: a buffer the File owns and
+	// reuses, so spilling banks allocates nothing.
 	released []Bank
 }
 
@@ -42,11 +63,71 @@ func New(n, words int) *File {
 	if words > 64 {
 		panic("regbank: banks larger than 64 words not supported (dirty mask)")
 	}
-	f := &File{banks: make([]Bank, n), victim: make([]uint16, words)}
+	if n > 64 {
+		panic("regbank: more than 64 banks not supported (free mask)")
+	}
+	f := &File{banks: make([]Bank, n), prev: make([]int, n+1), next: make([]int, n+1), owners: make([]int32, n)}
 	for i := range f.banks {
 		f.banks[i] = Bank{Words: make([]uint16, words), Owner: OwnerFree}
 	}
+	f.rebuild()
 	return f
+}
+
+// rebuild derives the free mask and the recency list from the banks'
+// owners and ages: frame-owned banks in ascending age, ties broken by
+// index, which is the order a scan for the strictly oldest bank visits.
+func (f *File) rebuild() {
+	s := len(f.banks)
+	f.free = 0
+	f.prev[s], f.next[s] = s, s
+	for i := range f.banks {
+		f.owners[i] = f.banks[i].Owner
+		switch o := f.banks[i].Owner; {
+		case o == OwnerFree:
+			f.free |= 1 << uint(i)
+		case o >= 0:
+			// Insert after the last linked bank not younger than i.
+			at := f.prev[s]
+			for at != s && f.banks[at].age > f.banks[i].age {
+				at = f.prev[at]
+			}
+			f.link(i, at)
+		}
+	}
+}
+
+// link inserts bank i after at in the recency list.
+func (f *File) link(i, at int) {
+	nx := f.next[at]
+	f.prev[i], f.next[i] = at, nx
+	f.next[at], f.prev[nx] = i, i
+}
+
+// unlink removes bank i from the recency list.
+func (f *File) unlink(i int) {
+	p, nx := f.prev[i], f.next[i]
+	f.next[p], f.prev[nx] = nx, p
+}
+
+// setOwner changes bank i's owner, keeping the free mask and the recency
+// list. A bank becoming frame-owned goes to the young end of the list: the
+// caller has just given it the newest age.
+func (f *File) setOwner(i int, owner int32) {
+	b := &f.banks[i]
+	switch {
+	case b.Owner >= 0:
+		f.unlink(i)
+	case b.Owner == OwnerFree:
+		f.free &^= 1 << uint(i)
+	}
+	b.Owner, f.owners[i] = owner, owner
+	switch {
+	case owner >= 0:
+		f.link(i, f.prev[len(f.banks)])
+	case owner == OwnerFree:
+		f.free |= 1 << uint(i)
+	}
 }
 
 // NumBanks reports the number of banks.
@@ -65,8 +146,8 @@ func (f *File) Get(i int) *Bank { return &f.banks[i] }
 
 // Lookup finds the bank shadowing frame lf, or -1.
 func (f *File) Lookup(lf uint16) int {
-	for i := range f.banks {
-		if f.banks[i].Owner == int32(lf) {
+	for i, o := range f.owners {
+		if o == int32(lf) {
 			return i
 		}
 	}
@@ -75,60 +156,46 @@ func (f *File) Lookup(lf uint16) int {
 
 // StackBank returns the bank currently holding the evaluation stack, or -1.
 func (f *File) StackBank() int {
-	for i := range f.banks {
-		if f.banks[i].Owner == OwnerStack {
+	for i, o := range f.owners {
+		if o == OwnerStack {
 			return i
 		}
 	}
 	return -1
 }
 
-// Acquire returns a bank for a new owner. It prefers a free bank; if none
-// is free it selects the oldest frame-owning bank as the victim and
-// returns needFlush=true — the machine must write the victim's dirty words
-// to its frame before reassignment (§7.1: "the contents of the oldest bank
-// is written out into the frame"). The victim's words are a copy in a
-// buffer the File owns, valid until the next Acquire. The stack bank is
-// never chosen as a victim. Returns bank=-1 if banking is disabled or every
-// bank is the stack.
-func (f *File) Acquire(owner int32) (bank int, victim Bank, needFlush bool) {
-	if len(f.banks) == 0 {
-		return -1, Bank{}, false
+// Victim names the bank the next Acquire takes: the lowest-numbered free
+// bank, or else the oldest frame-owned bank — the one least recently
+// assigned or renamed. The stack bank is never chosen. Returns -1 if
+// banking is disabled or every bank is the stack. When the bank is
+// frame-owned the caller must write its dirty words to its frame before
+// calling Acquire (§7.1: "the contents of the oldest bank is written out
+// into the frame"); until then they are still in the bank's own Words.
+func (f *File) Victim() int {
+	if f.free != 0 {
+		return bits.TrailingZeros64(f.free)
 	}
-	for i := range f.banks {
-		if f.banks[i].Owner == OwnerFree {
-			f.assign(i, owner)
-			return i, Bank{}, false
-		}
+	if v := f.next[len(f.banks)]; v != len(f.banks) {
+		return v
 	}
-	oldest := -1
-	for i := range f.banks {
-		if f.banks[i].Owner == OwnerStack {
-			continue
-		}
-		if oldest == -1 || f.banks[i].age < f.banks[oldest].age {
-			oldest = i
-		}
-	}
-	if oldest == -1 {
-		return -1, Bank{}, false
-	}
-	v := &f.banks[oldest]
-	victim = Bank{Words: f.victim, Dirty: v.Dirty, Owner: v.Owner}
-	copy(victim.Words, v.Words)
-	f.assign(oldest, owner)
-	return oldest, victim, true
+	return -1
 }
 
-func (f *File) assign(i int, owner int32) {
+// Acquire assigns the bank Victim names to a new owner, zeroed and clean,
+// and returns it (-1 when Victim has none). A frame-owned victim's words
+// are discarded: flush them first.
+func (f *File) Acquire(owner int32) int {
+	i := f.Victim()
+	if i < 0 {
+		return -1
+	}
 	f.clock++
 	b := &f.banks[i]
-	b.Owner = owner
+	f.setOwner(i, owner)
 	b.Dirty = 0
 	b.age = f.clock
-	for j := range b.Words {
-		b.Words[j] = 0
-	}
+	clear(b.Words)
+	return i
 }
 
 // Rename transfers bank i to a new owner without touching its contents —
@@ -137,20 +204,14 @@ func (f *File) assign(i int, owner int32) {
 // ever flushed.
 func (f *File) Rename(i int, owner int32) {
 	f.clock++
-	f.banks[i].Owner = owner
 	f.banks[i].age = f.clock
-}
-
-// Touch refreshes bank i's age (it shadows the running frame).
-func (f *File) Touch(i int) {
-	f.clock++
-	f.banks[i].age = f.clock
+	f.setOwner(i, owner)
 }
 
 // Release frees bank i; its contents are unimportant and never need to be
 // saved (§7.1: a freed frame's bank is simply marked free).
 func (f *File) Release(i int) {
-	f.banks[i].Owner = OwnerFree
+	f.setOwner(i, OwnerFree)
 	f.banks[i].Dirty = 0
 }
 
@@ -185,6 +246,7 @@ func (f *File) Reset() {
 			b.Words[j] = 0
 		}
 	}
+	f.rebuild()
 }
 
 // BankState is one bank's captured state — contents, dirty mask, owner and
@@ -242,6 +304,7 @@ func (f *File) Restore(s State) {
 		b.Owner = s.Banks[i].Owner
 		b.age = s.Banks[i].Age
 	}
+	f.rebuild()
 }
 
 // ReleaseAll frees every bank, returning the frame-owned ones so the
@@ -260,6 +323,7 @@ func (f *File) ReleaseAll() []Bank {
 		b.Owner = OwnerFree
 		b.Dirty = 0
 	}
+	f.rebuild()
 	f.released = out
 	return out
 }

@@ -7,12 +7,12 @@ import (
 
 func TestAcquireFreeBanks(t *testing.T) {
 	f := New(3, 16)
-	b1, _, flushed := f.Acquire(100)
-	if b1 < 0 || flushed {
-		t.Fatalf("first acquire: %d %v", b1, flushed)
+	if v := f.Victim(); v < 0 || f.Get(v).Owner != OwnerFree {
+		t.Fatalf("first victim %d is not a free bank", v)
 	}
-	b2, _, _ := f.Acquire(200)
-	b3, _, _ := f.Acquire(300)
+	b1 := f.Acquire(100)
+	b2 := f.Acquire(200)
+	b3 := f.Acquire(300)
 	if b1 == b2 || b2 == b3 || b1 == b3 {
 		t.Fatal("banks not distinct")
 	}
@@ -23,16 +23,16 @@ func TestAcquireFreeBanks(t *testing.T) {
 
 func TestOverflowEvictsOldestNotStack(t *testing.T) {
 	f := New(3, 16)
-	sb, _, _ := f.Acquire(OwnerStack)
+	sb := f.Acquire(OwnerStack)
 	f.Acquire(100)
 	f.Acquire(200)
 	// All full; next acquisition must evict 100 (oldest frame bank), never
 	// the stack bank.
-	b, victim, flushed := f.Acquire(300)
-	if !flushed || victim.Owner != 100 {
-		t.Fatalf("victim = %+v, want owner 100", victim)
+	v := f.Victim()
+	if v < 0 || f.Get(v).Owner != 100 {
+		t.Fatalf("victim = %d, want the bank of owner 100", v)
 	}
-	if b == sb {
+	if b := f.Acquire(300); b != v || b == sb {
 		t.Fatal("stack bank evicted")
 	}
 	if f.StackBank() != sb {
@@ -42,7 +42,7 @@ func TestOverflowEvictsOldestNotStack(t *testing.T) {
 
 func TestRenamePreservesContentsAndDirty(t *testing.T) {
 	f := New(2, 8)
-	b, _, _ := f.Acquire(OwnerStack)
+	b := f.Acquire(OwnerStack)
 	f.Write(b, 3, 0xBEEF)
 	f.Rename(b, 500)
 	if f.Lookup(500) != b {
@@ -58,14 +58,14 @@ func TestRenamePreservesContentsAndDirty(t *testing.T) {
 
 func TestReleaseDropsContentsWithoutFlush(t *testing.T) {
 	f := New(2, 8)
-	b, _, _ := f.Acquire(42)
+	b := f.Acquire(42)
 	f.Write(b, 0, 1)
 	f.Release(b)
 	if f.Lookup(42) >= 0 {
 		t.Fatal("released bank still owned")
 	}
 	// A new owner gets a zeroed bank.
-	b2, _, _ := f.Acquire(43)
+	b2 := f.Acquire(43)
 	if f.Read(b2, 0) != 0 {
 		t.Fatal("bank not cleared on reassignment")
 	}
@@ -73,7 +73,7 @@ func TestReleaseDropsContentsWithoutFlush(t *testing.T) {
 
 func TestLoadClearsDirty(t *testing.T) {
 	f := New(1, 4)
-	b, _, _ := f.Acquire(10)
+	b := f.Acquire(10)
 	f.Write(b, 1, 5)
 	f.Load(b, []uint16{9, 8, 7, 6})
 	if f.Get(b).Dirty != 0 {
@@ -88,7 +88,7 @@ func TestReleaseAllReturnsFrameBanksOnly(t *testing.T) {
 	f := New(4, 8)
 	f.Acquire(OwnerStack)
 	f.Acquire(1)
-	b, _, _ := f.Acquire(2)
+	b := f.Acquire(2)
 	f.Write(b, 0, 77)
 	out := f.ReleaseAll()
 	if len(out) != 2 {
@@ -109,22 +109,11 @@ func TestReleaseAllReturnsFrameBanksOnly(t *testing.T) {
 
 func TestDisabledFile(t *testing.T) {
 	f := New(0, 16)
-	if b, _, _ := f.Acquire(1); b != -1 {
+	if b := f.Acquire(1); b != -1 {
 		t.Fatal("disabled file handed out a bank")
 	}
 	if f.Lookup(1) != -1 || f.BankWords() != 0 {
 		t.Fatal("disabled file misbehaves")
-	}
-}
-
-func TestTouchProtectsRecentBank(t *testing.T) {
-	f := New(2, 8)
-	b1, _, _ := f.Acquire(100)
-	f.Acquire(200)
-	f.Touch(b1) // 100 becomes the most recent
-	_, victim, flushed := f.Acquire(300)
-	if !flushed || victim.Owner != 200 {
-		t.Fatalf("victim %+v, want 200 after touching 100", victim)
 	}
 }
 
@@ -137,10 +126,10 @@ func TestRandomOwnershipInvariant(t *testing.T) {
 		case 0:
 			o := int32(rng.Intn(50) * 2)
 			if f.Lookup(uint16(o)) < 0 {
-				_, victim, flushed := f.Acquire(o)
-				if flushed {
-					delete(owners, victim.Owner)
+				if v := f.Victim(); v >= 0 && f.Get(v).Owner >= 0 {
+					delete(owners, f.Get(v).Owner)
 				}
+				f.Acquire(o)
 				owners[o] = true
 			}
 		case 1:
@@ -177,9 +166,9 @@ func TestBankWordsLimit(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	f := New(4, 16)
-	b, _, _ := f.Acquire(OwnerStack)
+	b := f.Acquire(OwnerStack)
 	f.Write(b, 3, 0xBEEF)
-	b2, _, _ := f.Acquire(0x1234)
+	b2 := f.Acquire(0x1234)
 	f.Write(b2, 0, 1)
 	f.Reset()
 	for i := 0; i < f.NumBanks(); i++ {
