@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-json bench-serve-json ab check serve-smoke sched-smoke fuzz-smoke verify-corpus
+.PHONY: build vet test race bench bench-json bench-serve-json ab check serve-smoke fuzz-smoke verify-corpus
 
 build:
 	$(GO) build ./...
@@ -32,7 +32,7 @@ bench:
 # decode-per-step engine before the decode-once refactor) is preserved for
 # comparison.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatch|BenchmarkPoolThroughput$$|BenchmarkMachine|BenchmarkInterpreterDispatch|BenchmarkResetCertified' -count 6 -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkDispatch|BenchmarkPoolThroughput$$|BenchmarkMachine|BenchmarkInterpreterDispatch' -count 6 -benchmem . \
 		| $(GO) run ./scripts/benchjson -out BENCH_dispatch.json
 
 # Record the registry serving benchmarks into BENCH_serve.json: the cache
@@ -63,31 +63,22 @@ ab:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Race-enabled scheduler stress: many in-VM schedulers timeslicing
-# processes over one shared pool via continuation park/resume, asserting
-# every process is byte-identical to its uninterrupted run and the pool
-# aggregate equals the sum of per-process metrics exactly.
-sched-smoke:
-	$(GO) test -race -count=1 -run 'TestSched' ./internal/sched
-
 # Differential fuzzing smoke: a deterministic 2000-seed sweep through the
 # four-way differential oracle (cmd/fpcfuzz), then a short coverage-guided
-# shift on each native fuzz target. Longer campaigns: raise -n / -fuzztime.
+# shift on each native fuzz target, the compiler's included. Longer
+# campaigns: raise -n / -fuzztime.
 fuzz-smoke:
 	$(GO) run ./cmd/fpcfuzz -n 2000
 	$(GO) test -fuzz=FuzzDifferential -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzPoolReuse -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzParkResume -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzBankFile -fuzztime=10s -run '^$$' ./internal/regbank
+	$(GO) test -fuzz=FuzzCompile -fuzztime=10s -run '^$$' ./internal/lang
 
-# Verifier soundness smoke: sweep seeds 0..19999 through the differential
-# oracle, which now also checks that (a) every generated program is admitted
-# by the static verifier under both linkage policies and (b) certified
-# (bounds-check-free) execution is byte-identical to checked execution.
-# certfrac then re-measures the corpus certified fraction and fails the
-# run if it regressed below the fraction recorded in BENCH_dispatch.json.
+# Verifier admission smoke: sweep seeds 0..19999 through the differential
+# oracle, which also checks that every generated program is admitted by the
+# static verifier under both linkage policies.
 verify-corpus:
 	$(GO) run ./cmd/fpcfuzz -n 20000
-	$(GO) run ./scripts/certfrac -n 10000 -check
 
 check: build vet test race

@@ -13,9 +13,8 @@ import (
 )
 
 // TestCallAllocations is the allocation gate on the steady-state run path.
-// For every corpus program on ConfigFastCalls (certified where the
-// verifier allows, as NewPool serves it), a machine checked out of the
-// pool — so a GC that empties the sync.Pool cannot add a boot — runs Call,
+// For every corpus program on ConfigFastCalls, a machine checked out of
+// the pool — so a GC that empties the sync.Pool cannot add a boot — runs Call,
 // merges into an aggregate and Resets with exactly one allocation per run:
 // the results slice. Bank spills and reloads, trap saves and per-transfer
 // histogram samples allocate nothing once the machine has run once. A
@@ -57,7 +56,7 @@ func TestCallAllocations(t *testing.T) {
 			if call > maxPoolCallAllocs {
 				t.Errorf("Pool.Call: %v allocations per call, want at most %d", call, maxPoolCallAllocs)
 			}
-			t.Logf("certified=%v machine=%v pool=%v", pool.Image().Certified(), run, call)
+			t.Logf("machine=%v pool=%v", run, call)
 		})
 	}
 }

@@ -186,88 +186,6 @@ func BenchmarkMachineI3FastFetch(b *testing.B) { benchMachine(b, fpc.ConfigFastF
 // BenchmarkMachineI4FastCalls is the full optimization stack.
 func BenchmarkMachineI4FastCalls(b *testing.B) { benchMachine(b, fpc.ConfigFastCalls, true) }
 
-// BenchmarkDispatchCertified measures what the verifier's stack-bounds
-// certificate buys at run time: the same fib(15) workload on the same
-// shared image, once on a checked machine (sp tested against the opcode's
-// stack window before every dispatch) and once on the certified machine
-// LoadImageVerified boots when the report proves the 13-word bound. The
-// delta is the pure cost of the per-instruction window test.
-func BenchmarkDispatchCertified(b *testing.B) {
-	prog := buildFib(b, true)
-	for _, mode := range []struct {
-		name string
-		load func() (*fpc.LoadedImage, error)
-	}{
-		{"checked", func() (*fpc.LoadedImage, error) { return fpc.LoadImage(prog, fpc.ConfigFastCalls) }},
-		{"certified", func() (*fpc.LoadedImage, error) { return fpc.LoadImageVerified(prog, fpc.ConfigFastCalls) }},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			img, err := mode.load()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode.name == "certified" && !img.Certified() {
-				b.Fatal("fib image should certify")
-			}
-			m, err := img.NewMachine()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Call(img.Entry(), 15); err != nil {
-					b.Fatal(err)
-				}
-			}
-			mt := m.Metrics()
-			b.ReportMetric(float64(mt.Cycles)/float64(b.N), "simcycles/op")
-		})
-	}
-}
-
-// BenchmarkResetCertified measures what the heap-effects certificate buys
-// at reuse time: the same shallow (bank-resident, write-free at run time)
-// fib workload in a call-Reset serving loop on the same configuration,
-// once over an unverified image whose Reset always restores the dirty
-// window and rewinds the allocator, and once over a verified image whose
-// write-free certificate elides the restore when the window confirms the
-// run wrote nothing. The resetns/op metric isolates the Reset itself.
-func BenchmarkResetCertified(b *testing.B) {
-	prog := buildFib(b, true)
-	for _, mode := range []struct {
-		name string
-		load func() (*fpc.LoadedImage, error)
-	}{
-		{"full", func() (*fpc.LoadedImage, error) { return fpc.LoadImage(prog, fpc.ConfigFastCalls) }},
-		{"elided", func() (*fpc.LoadedImage, error) { return fpc.LoadImageVerified(prog, fpc.ConfigFastCalls) }},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			img, err := mode.load()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode.name == "elided" && !img.ResetElide() {
-				b.Fatal("fib image should earn the write-free certificate")
-			}
-			m, err := img.NewMachine()
-			if err != nil {
-				b.Fatal(err)
-			}
-			// One run primes the machine the way a serving loop would; the
-			// timed loop then measures the Reset path itself — the fib(4)
-			// run is bank-resident, so the window is clean and the elided
-			// image skips the restore where the full image pays it.
-			if _, err := m.Call(img.Entry(), 4); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Reset()
-			}
-		})
-	}
-}
-
 // BenchmarkPoolThroughput hammers one machine pool — one shared
 // LoadedImage — with b.RunParallel, so calls/sec scales with GOMAXPROCS.
 // This is the serving-layer counterpart of the per-call microbenchmarks.

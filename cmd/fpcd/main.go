@@ -125,11 +125,7 @@ func main() {
 			fatal(err)
 		}
 		pool = fpc.NewPoolFromImage(img)
-		if img.Certified() {
-			fmt.Println("fpcd: program verified, stack bounds certified (fast dispatch)")
-		} else {
-			fmt.Println("fpcd: program verified (checked dispatch)")
-		}
+		fmt.Println("fpcd: program verified")
 	} else {
 		pool, err = fpc.NewPool(prog, cfg)
 		if err != nil {

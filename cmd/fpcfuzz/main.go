@@ -3,11 +3,10 @@
 // `go test -fuzz` targets in internal/difffuzz. Every seed's program goes
 // through difffuzz.Check: the four-way differential (I1 reference vs the
 // Mesa, FastFetch and FastCalls machines, both linkages) with the
-// predecode cross-check, the static-verification oracle (admission, and
-// certified vs checked execution), the Reset-elision oracle, the
-// metamorphic battery (Step vs Run, Reset reuse, budget cuts,
-// cancellation, pool accounting, park/resume) and fast-transfer
-// monotonicity.
+// predecode cross-check, the admission oracle (the verifier admits every
+// compiler-emitted program), the metamorphic battery (Step vs Run, Reset
+// reuse, budget cuts, cancellation, pool accounting, park/resume) and
+// fast-transfer monotonicity.
 //
 //	fpcfuzz -n 2000            # the make fuzz-smoke sweep
 //	fpcfuzz -start 2000 -n 100000 -quiet   # an overnight shift

@@ -145,8 +145,8 @@ func LoadImage(prog *Program, cfg Config) (*LoadedImage, error) {
 }
 
 // VerifyReport is the static verifier's structured result: per-pc
-// diagnostics with reason codes, per-procedure stack summaries, the
-// conservative call graph, and the stack-bounds certificate.
+// diagnostics with reason codes, per-procedure stack summaries and the
+// conservative call graph.
 type VerifyReport = verify.Report
 
 // VerifyError is returned by LoadImageVerified for a rejected program.
@@ -161,17 +161,16 @@ type VerifyError = core.VerifyError
 func ContentHash(prog *Program) string { return prog.ContentHash() }
 
 // Verify runs the link-time verifier over a linked program without
-// loading it. The report says whether the program is admitted and whether
-// its evaluation-stack bounds are certified.
+// loading it. The report says whether the program is admitted, and why
+// not.
 func Verify(prog *Program) *VerifyReport {
 	return verify.Program(prog)
 }
 
 // LoadImageVerified is LoadImage behind the verifier: a rejected program
-// fails with a *VerifyError (inspect its Report), and an admitted program
-// whose stack bounds are certified gets certified machines — they skip the
-// per-instruction stack-window test (LoadedImage.Certified reports the
-// choice).
+// fails with a *VerifyError (inspect its Report); an admitted program's
+// report stays available from LoadedImage.VerifyReport. Machines over it
+// run exactly as over a LoadImage image.
 func LoadImageVerified(prog *Program, cfg Config) (*LoadedImage, error) {
 	return core.LoadImage(prog, cfg, core.WithVerify())
 }

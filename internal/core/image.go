@@ -35,21 +35,9 @@ type LoadedImage struct {
 	insts []isa.Inst
 
 	// report is the static verifier's result when WithVerify was requested
-	// (nil otherwise). certified lets every machine booted over this image
-	// skip the pre-dispatch stack-window test: it requires the verifier's
-	// stack-bounds certificate AND no Go-level trap hook (a cfg.Trap
-	// callback may resume a trapping instruction with machine state the
-	// static analysis never saw).
-	report    *verify.Report
-	certified bool
-	// resetElide: the verifier's heap-effects analysis proved the program
-	// write-free (no globals, no record stores, no unplaceable writes), so
-	// Machine.Reset may skip the memory restore and allocator rewind when
-	// the dirty window confirms the run never wrote a data word. The static
-	// certificate makes the empty window the common case; the dynamic check
-	// keeps the elision unconditionally sound (a Go trap hook, or a config
-	// whose frame traffic lands in storage, just falls back to the copy).
-	resetElide bool
+	// (nil otherwise). It gates admission only: every machine runs the
+	// same checked dispatch loop whatever the report says.
+	report *verify.Report
 }
 
 // LoadOption configures LoadImage.
@@ -59,10 +47,8 @@ type loadOpts struct{ verify bool }
 
 // WithVerify makes LoadImage run the static verifier over the program
 // before accepting it. A program the verifier rejects fails the load with a
-// *VerifyError carrying the full report. When the verifier additionally
-// grants the stack-bounds certificate (and no cfg.Trap hook is installed),
-// machines over this image skip the per-instruction evaluation-stack
-// window test.
+// *VerifyError carrying the full report; an admitted program's report is
+// kept for VerifyReport.
 func WithVerify() LoadOption {
 	return func(o *loadOpts) { o.verify = true }
 }
@@ -116,8 +102,6 @@ func LoadImage(prog *image.Program, cfg Config, opts ...LoadOption) (*LoadedImag
 			return nil, &VerifyError{Report: rep}
 		}
 		img.report = rep
-		img.certified = rep.CertStackBounds && cfg.Trap == nil
-		img.resetElide = rep.CertHeapEffects && rep.WriteFree
 	}
 	insts, err := isa.Predecode(prog.Code)
 	if err != nil {
@@ -179,16 +163,6 @@ func (img *LoadedImage) Insts() []isa.Inst { return img.insts }
 // was loaded without WithVerify.
 func (img *LoadedImage) VerifyReport() *verify.Report { return img.report }
 
-// Certified reports whether machines over this image skip the stack-window
-// test (verifier stack-bounds certificate held and no trap hook).
-func (img *LoadedImage) Certified() bool { return img.certified }
-
-// ResetElide reports whether machines over this image take the Reset fast
-// path: the heap-effects certificate proved the program write-free, so a
-// run that confirms an empty dirty window skips the memory restore and
-// allocator rewind entirely.
-func (img *LoadedImage) ResetElide() bool { return img.resetElide }
-
 // MemoryFootprint reports the bytes a resident LoadedImage pins: the boot
 // snapshot of the main data space, the predecoded instruction stream, the
 // code space and the free-frame/boot bookkeeping. A registry holding
@@ -219,20 +193,18 @@ func (img *LoadedImage) MachineFootprint() int64 {
 // memcpy plus cheap register allocation, no linking or loading.
 func (img *LoadedImage) NewMachine() (*Machine, error) {
 	m := &Machine{
-		cfg:        img.cfg,
-		img:        img,
-		prog:       img.prog,
-		m:          mem.New(),
-		code:       img.prog.Code,
-		insts:      img.insts,
-		rs:         ifu.New(img.cfg.ReturnStackDepth),
-		banks:      regbank.New(img.cfg.RegBanks, img.cfg.BankWords),
-		stackBank:  -1,
-		lfBank:     -1,
-		stdFSI:     img.stdFSI,
-		curFSI:     -1,
-		resetElide: img.resetElide,
-		certified:  img.certified,
+		cfg:       img.cfg,
+		img:       img,
+		prog:      img.prog,
+		m:         mem.New(),
+		code:      img.prog.Code,
+		insts:     img.insts,
+		rs:        ifu.New(img.cfg.ReturnStackDepth),
+		banks:     regbank.New(img.cfg.RegBanks, img.cfg.BankWords),
+		stackBank: -1,
+		lfBank:    -1,
+		stdFSI:    img.stdFSI,
+		curFSI:    -1,
 	}
 	m.m.LoadFrom(img.boot)
 	h, err := frames.Adopt(m.m, img.heapConfig(), img.heapBoot)

@@ -92,9 +92,6 @@ type Machine struct {
 	// insts is the image's shared predecoded instruction stream, indexed
 	// by byte pc — the decode-once engine's read-only dispatch input.
 	insts []isa.Inst
-	// certified mirrors the image's stack-bounds certificate: dispatch
-	// skips the pre-dispatch stack-window test (step.go).
-	certified bool
 
 	// Processor registers.
 	pc        uint32 // absolute code byte address
@@ -131,11 +128,6 @@ type Machine struct {
 	// Free-frame stack (§7.1): processor-held standard-size frames.
 	freeFrames []mem.Addr
 	stdFSI     int // size class of the standard frame; -1 when disabled
-
-	// resetElide mirrors the image's flag: the verifier proved the program
-	// write-free, so Reset may skip the memory restore when the dirty
-	// window confirms the run wrote nothing.
-	resetElide bool
 
 	halted  bool
 	cycles  uint64 // non-memory cycles; memory cycles derive from reference counts
@@ -175,22 +167,12 @@ func (m *Machine) Image() *LoadedImage { return m.img }
 // Reset restores the machine to its boot state — the instant its image's
 // snapshot was taken — without re-compiling, re-linking or re-loading.
 // Only the store's dirty window is copied back, so a reset after a short
-// run is far cheaper than booting a fresh machine; when the image carries
-// the verifier's write-free heap-effects certificate and the dirty window
-// confirms the run wrote no data word, even that copy (and the allocator
-// rewind behind it) is elided. Metrics, output and all processor registers
-// are cleared; the metrics' histogram storage is kept for the next run.
+// run is far cheaper than booting a fresh machine. Metrics, output and all
+// processor registers are cleared; the metrics' histogram storage is kept
+// for the next run.
 func (m *Machine) Reset() {
-	if m.resetElide && m.m.DirtyWords() == 0 {
-		// Write-free run over a write-free-certified image: the store still
-		// equals the boot snapshot and every frames.Heap mutation writes a
-		// data word, so the allocator registers are boot state too. Only
-		// the tracking counters need clearing.
-		m.m.ResetTracking()
-	} else {
-		m.m.RestoreFrom(m.img.boot)
-		m.heap.Restore(m.img.heapBoot)
-	}
+	m.m.RestoreFrom(m.img.boot)
+	m.heap.Restore(m.img.heapBoot)
 	m.freeFrames = append(m.freeFrames[:0], m.img.bootFree...)
 	m.rs.Reset()
 	m.banks.Reset()
@@ -546,9 +528,8 @@ func (m *Machine) pop() (mem.Word, error) {
 }
 
 // pushU and popU are the unchecked forms the fixed-effect handlers use:
-// dispatch has already tested sp against the opcode's stack window, or the
-// verifier's certificate proved it in range. The stack is a fixed Go
-// array, so a wrong window or certificate panics on the slide out of
+// dispatch has already tested sp against the opcode's stack window. The
+// stack is a fixed Go array, so a wrong window panics on the slide out of
 // bounds instead of corrupting neighbouring machine state.
 func (m *Machine) pushU(v mem.Word) {
 	m.stack[m.sp] = v

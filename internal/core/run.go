@@ -77,9 +77,8 @@ const cancelCheckInterval = 1024
 // The loop is the decode-once engine's fast path: the budget and cancel
 // countdowns are batched into a pause point ahead of time, so the inner
 // loop executes predecoded instructions with nothing between them but a
-// table index and the handler call — handlers[in.Op](m, in), preceded on
-// an uncertified machine by one test of sp against the opcode's stack
-// window.
+// table index and the handler call — handlers[in.Op](m, in), preceded by
+// one test of sp against the opcode's stack window.
 // Each dispatch retires exactly one instruction, which is what makes the
 // batching exact: the inner loop stops on precisely the instruction the
 // per-step checks would have, so budget and cancel cuts land on an
@@ -98,7 +97,6 @@ func (m *Machine) Run() error {
 		}
 	}
 	insts := m.insts
-	certified := m.certified
 	ncode := uint32(len(m.code))
 	for !m.halted {
 		if m.metrics.Instructions >= limit {
@@ -131,10 +129,8 @@ func (m *Machine) Run() error {
 			m.pc = pc + uint32(in.Size)
 			m.metrics.Instructions++
 			m.cycles += CycDispatch
-			if !certified {
-				if w := stackWindow[in.Op]; m.sp < w.lo || m.sp > w.hi {
-					return m.errAt(m.pc, w.fault(m.sp))
-				}
+			if w := stackWindow[in.Op]; m.sp < w.lo || m.sp > w.hi {
+				return m.errAt(m.pc, w.fault(m.sp))
 			}
 			if err := handlers[in.Op](m, in); err != nil {
 				return m.errAt(m.pc, err)

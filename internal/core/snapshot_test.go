@@ -206,11 +206,11 @@ func TestSnapshotEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestSnapshotBudgetCutAccounting: on both the checked and the certified
-// dispatch table, a budget cut at every instruction count k of a fib run
-// parks after exactly k instructions, and the per-segment
-// Instructions/simcycle counters of the cut-and-resumed run merge
-// byte-identically to the uninterrupted run.
+// TestSnapshotBudgetCutAccounting: over an image loaded plain and one
+// loaded through the verifier (whose report proves fib's stack bounds), a
+// budget cut at every instruction count k of a fib run parks after exactly
+// k instructions, and the per-segment Instructions/simcycle counters of
+// the cut-and-resumed run merge byte-identically to the uninterrupted run.
 func TestSnapshotBudgetCutAccounting(t *testing.T) {
 	prog := linkOne(t, fibModule(), "main", linker.Options{})
 	args := []mem.Word{8}
@@ -227,8 +227,8 @@ func TestSnapshotBudgetCutAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.name == "certified" && !img.Certified() {
-				t.Fatal("fib image did not certify; the certified path is untested")
+			if tc.name == "certified" && !img.VerifyReport().CertStackBounds {
+				t.Fatal("fib's verifier report does not prove its stack bounds")
 			}
 
 			want, wantRes := uninterrupted(t, img, args...)

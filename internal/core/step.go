@@ -20,12 +20,9 @@ import (
 // (isa.InfoOf(op).Pops != VarEffect) touches the evaluation stack through
 // the unchecked pushU/popU; the bounds test is hoisted out of the handler
 // into one pre-dispatch comparison of sp against the opcode's stack window
-// (stackWindow, derived from the metadata table). A machine over a
-// certified image skips even that: the verifier's stack-bounds
-// certificate proves every reachable instruction keeps sp inside its
-// window. Handlers whose stack effect depends on machine state (calls,
-// RET, XFERO, TRAPB) and pushes that follow Go-level trap-hook code keep
-// the checked push/pop.
+// (stackWindow, derived from the metadata table). Handlers whose stack
+// effect depends on machine state (calls, RET, XFERO, TRAPB) and pushes
+// that follow Go-level trap-hook code keep the checked push/pop.
 
 // Step executes one instruction. It returns ErrHalted once the machine has
 // halted.
@@ -44,18 +41,15 @@ func (m *Machine) Step() error {
 	m.pc = pc + uint32(in.Size)
 	m.metrics.Instructions++
 	m.cycles += CycDispatch
-	if !m.certified {
-		if w := stackWindow[in.Op]; m.sp < w.lo || m.sp > w.hi {
-			return w.fault(m.sp)
-		}
+	if w := stackWindow[in.Op]; m.sp < w.lo || m.sp > w.hi {
+		return w.fault(m.sp)
 	}
 	return handlers[in.Op](m, in)
 }
 
 // handlerFunc executes one predecoded instruction. The program counter has
 // already been advanced past the instruction, the dispatch cycle charged
-// and, on an uncertified machine, the stack window tested when a handler
-// runs.
+// and the stack window tested when a handler runs.
 type handlerFunc func(*Machine, *isa.Inst) error
 
 // handlers is the dispatch table, indexed by opcode. Every defined opcode

@@ -1,5 +1,5 @@
 // Package difffuzz is the differential fuzzing subsystem. Check runs every
-// generated or corpus program through five phases, in this order, and
+// generated or corpus program through four phases, in this order, and
 // reports the first disagreement:
 //
 //  1. Four-way differential, both linkage policies: the I1 reference
@@ -11,18 +11,9 @@
 //     must agree with isa.Decode at every byte offset — opcode, length,
 //     folded operand, jump target, call header and the exact error text
 //     of every undecodable slot (checkPredecode).
-//  2. Static verification (checkVerify, diffCertified): the verifier must
-//     admit every compiler-emitted program under both linkages, and when
-//     it grants the stack-bounds certificate a certified machine (no
-//     pre-dispatch stack-window test) must be byte-identical to a checked
-//     one on every configuration — results, output, halt state, error
-//     text and every metrics counter — and must never panic.
-//  3. Reset elision (checkReset): on a verified image the static dirty
-//     bound must hold, Reset must restore the boot image word for word
-//     whether or not the memory restore was elided, and a run-Reset-run
-//     chain must match a fresh boot and the same chain over an unverified
-//     image.
-//  4. Metamorphic invariants on each configuration's default (serving)
+//  2. Static verification (checkVerify): the verifier must admit every
+//     compiler-emitted program under both linkages, and must never panic.
+//  3. Metamorphic invariants on each configuration's default (serving)
 //     linkage (checkMetamorphic, checkParkResume). Driving a machine one
 //     Step at a time reproduces the Run-driven machine exactly (results,
 //     output and every metrics counter). A Reset-reused machine is
@@ -35,7 +26,7 @@
 //     instruction boundaries (core.Snapshot), round-tripped through the
 //     continuation wire codec and resumed on different machines is
 //     byte-identical to the uninterrupted run.
-//  5. Fast-transfer monotonicity (checkMonotone): the fast-transfer count
+//  4. Fast-transfer monotonicity (checkMonotone): the fast-transfer count
 //     (calls+returns at unconditional-jump cost) only improves I2 → I3 →
 //     I4 on the same early-bound build.
 //
@@ -80,9 +71,7 @@ const (
 	KindPredecode    FailKind = "predecode"    // predecoded table disagrees with byte-at-a-time Decode
 	KindStepRun      FailKind = "steprun"      // Step-driven execution diverges from Run-driven
 	KindVerify       FailKind = "verify"       // static verifier rejects (or panics on) compiler output
-	KindCertify      FailKind = "certify"      // certified (unchecked) execution diverges from checked
 	KindParkResume   FailKind = "parkresume"   // park/resume chain not byte-identical to uninterrupted
-	KindResetElide   FailKind = "resetelide"   // elided Reset not byte-identical to a full Reset / dirty bound violated
 )
 
 // Failure is one oracle violation.
@@ -216,20 +205,12 @@ func Check(p *workload.Program) error {
 		}
 	}
 
-	// Phase 2: the static-verification soundness oracle.
+	// Phase 2: the verifier admits compiler output.
 	if err := checkVerify(p); err != nil {
 		return err
 	}
 
-	// Phase 3: the Reset-elision oracle — a verified image's Reset (which
-	// may skip the memory restore on the heap-effects certificate) must be
-	// byte-identical to the full restore, and the static dirty bound must
-	// hold on the wire.
-	if err := checkReset(p); err != nil {
-		return err
-	}
-
-	// Phase 4: metamorphic invariants on each configuration under its
+	// Phase 3: metamorphic invariants on each configuration under its
 	// default (serving) linkage, including the park/resume chain (snapshot
 	// at thirds, codec round trip, restore on a fresh machine).
 	for _, c := range configs {
@@ -241,24 +222,14 @@ func Check(p *workload.Program) error {
 		}
 	}
 
-	// Phase 5: fast-transfer monotonicity on one shared early-bound build.
+	// Phase 4: fast-transfer monotonicity on one shared early-bound build.
 	return checkMonotone(p)
 }
 
-// checkVerify is the static-verification soundness oracle. Two claims are
-// continuously fuzzed:
-//
-//  1. Admission completeness on trusted producers: every program the
-//     compiler+linker emit must be admitted by the verifier, under both
-//     linkage policies. A rejection here is a verifier false positive.
-//  2. Certificate soundness: when the verifier certifies the
-//     evaluation-stack bounds, a certified machine (the pre-dispatch
-//     stack-window test skipped) must behave byte-identically to
-//     the checked machine on every configuration — same results, output,
-//     halt state, error and every metrics counter. In particular a
-//     certified program must never trip the ErrStack class the
-//     certificate excludes: the checked run would surface it as a
-//     divergence (or the unchecked run as a panic, caught here).
+// checkVerify is the admission-completeness oracle on trusted producers:
+// every program the compiler and linker emit must be admitted by the
+// verifier under both linkage policies. A rejection here is a verifier
+// false positive; a panic is a verifier crash.
 func checkVerify(p *workload.Program) error {
 	for _, early := range []bool{false, true} {
 		prog, _, err := p.Build(linker.Options{EarlyBind: early})
@@ -271,182 +242,6 @@ func checkVerify(p *workload.Program) error {
 		}
 		if !rep.Admitted() {
 			return failf(KindVerify, "early=%v: compiler output rejected:\n%s", early, rep)
-		}
-		if !rep.CertStackBounds {
-			continue
-		}
-		for _, c := range configs {
-			cfg := c.cfg
-			cfg.HeapCheck = true
-			checked, err := core.LoadImage(prog, cfg)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: load: %v", c.name, early, err)
-			}
-			certified, err := core.LoadImage(prog, cfg, core.WithVerify())
-			if err != nil {
-				return failf(KindCertify, "%s early=%v: verified load: %v", c.name, early, err)
-			}
-			if !certified.Certified() {
-				return failf(KindCertify, "%s early=%v: certificate granted but image not certified", c.name, early)
-			}
-			if err := diffCertified(c.name, early, checked, certified, p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// diffCertified runs p on a checked and a certified machine and demands
-// byte-identical behaviour. A panic on the certified side (the unchecked
-// push/pop's array backstop) is the loudest possible unsoundness signal.
-func diffCertified(name string, early bool, checked, certified *core.LoadedImage, p *workload.Program) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = failf(KindCertify, "%s early=%v: certified run panicked: %v", name, early, r)
-		}
-	}()
-	mc, gc, errC := runFresh(checked, p)
-	mu, gu, errU := runFresh(certified, p)
-	switch {
-	case (errC == nil) != (errU == nil):
-		return failf(KindCertify, "%s early=%v: checked err %v, certified err %v", name, early, errC, errU)
-	case errC != nil:
-		if errC.Error() != errU.Error() {
-			return failf(KindCertify, "%s early=%v: checked err %q, certified err %q", name, early, errC, errU)
-		}
-		return nil
-	}
-	if !gc.equal(gu) {
-		return failf(KindCertify, "%s early=%v: checked %v/%v, certified %v/%v",
-			name, early, gc.results, gc.output, gu.results, gu.output)
-	}
-	if mc.Halted() != mu.Halted() {
-		return failf(KindCertify, "%s early=%v: halted %v vs %v", name, early, mc.Halted(), mu.Halted())
-	}
-	if !reflect.DeepEqual(mc.Metrics().Clone(), mu.Metrics().Clone()) {
-		return failf(KindCertify, "%s early=%v: certified metrics diverge from checked", name, early)
-	}
-	return nil
-}
-
-// checkReset is the Reset-elision oracle. A verified image may take the
-// cheap Reset path — skip the memory restore and allocator rewind — when
-// the heap-effects certificate proved the program write-free and the
-// dirty window confirms it. Three claims are continuously fuzzed, under
-// both linkage policies on every configuration:
-//
-//  1. The static dirty bound: after a run, the words of the module-globals
-//     window [GlobalsBase, HeapBase) that differ from the boot image
-//     number at most Report.MaxDirtyWords (when the bound is finite).
-//  2. Reset restores the boot image exactly — all 64K words byte-identical
-//     to a freshly booted machine — whether or not the restore was elided.
-//  3. A run-Reset-run chain on the verified image reproduces a fresh boot
-//     byte-identically (results, output, halt state, every metrics
-//     counter), and agrees with the same chain over an unverified image
-//     whose Reset always pays the full restore.
-func checkReset(p *workload.Program) error {
-	for _, early := range []bool{false, true} {
-		prog, _, err := p.Build(linker.Options{EarlyBind: early})
-		if err != nil {
-			return failf(KindBuild, "early=%v: %v", early, err)
-		}
-		rep, err := safeVerify(prog)
-		if err != nil {
-			return err
-		}
-		if !rep.Admitted() {
-			// checkVerify already reports the rejection.
-			return nil
-		}
-		for _, c := range configs {
-			cfg := c.cfg
-			cfg.HeapCheck = true
-			full, err := core.LoadImage(prog, cfg)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: load: %v", c.name, early, err)
-			}
-			elide, err := core.LoadImage(prog, cfg, core.WithVerify())
-			if err != nil {
-				return failf(KindRun, "%s early=%v: verified load: %v", c.name, early, err)
-			}
-			if want := rep.CertHeapEffects && rep.WriteFree; elide.ResetElide() != want {
-				return failf(KindResetElide, "%s early=%v: image ResetElide %v, certificate says %v",
-					c.name, early, elide.ResetElide(), want)
-			}
-			boot, err := elide.NewMachine()
-			if err != nil {
-				return failf(KindRun, "%s early=%v: %v", c.name, early, err)
-			}
-			bootMem := boot.Mem().PeekRange(0, mem.Size)
-
-			mRef, recRef, err := runFresh(elide, p)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: %v", c.name, early, err)
-			}
-
-			// Run A on the verified image; check the static dirty bound
-			// against the boot image before Reset.
-			m, _, err := runFresh(elide, p)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: %v", c.name, early, err)
-			}
-			if rep.MaxDirtyWords >= 0 {
-				dirty := 0
-				for a := int(image.GlobalsBase); a < int(prog.HeapBase); a++ {
-					if m.Mem().Peek(mem.Addr(a)) != bootMem[a] {
-						dirty++
-					}
-				}
-				if dirty > rep.MaxDirtyWords {
-					return failf(KindResetElide, "%s early=%v: run dirtied %d global words, static bound %d",
-						c.name, early, dirty, rep.MaxDirtyWords)
-				}
-			}
-			m.Reset()
-			if got := m.Mem().PeekRange(0, mem.Size); !wordsEqual(got, bootMem) {
-				for a := range got {
-					if got[a] != bootMem[a] {
-						return failf(KindResetElide, "%s early=%v: word %04x = %04x after Reset, boot image %04x",
-							c.name, early, a, got[a], bootMem[a])
-					}
-				}
-			}
-
-			// Run B on the reused machine: byte-identical to the fresh boot.
-			res, err := m.Call(elide.Entry(), p.Args...)
-			if err != nil {
-				return failf(KindResetElide, "%s early=%v: reused run failed: %v", c.name, early, err)
-			}
-			reused := record{results: res, output: append([]mem.Word(nil), m.Output...)}
-			if !reused.equal(recRef) {
-				return failf(KindResetElide, "%s early=%v: reused %v/%v, fresh %v/%v",
-					c.name, early, reused.results, reused.output, recRef.results, recRef.output)
-			}
-			if !reflect.DeepEqual(m.Metrics(), mRef.Metrics()) {
-				return failf(KindResetElide, "%s early=%v: reused metrics diverge from fresh:\nreused %+v\nfresh  %+v",
-					c.name, early, m.Metrics(), mRef.Metrics())
-			}
-			if err := m.Heap().CheckInvariants(); err != nil {
-				return failf(KindInvariant, "%s early=%v: after reuse: %v", c.name, early, err)
-			}
-
-			// The same chain over the unverified image (full restore
-			// always) must agree.
-			mf, _, err := runFresh(full, p)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: %v", c.name, early, err)
-			}
-			mf.Reset()
-			resF, err := mf.Call(full.Entry(), p.Args...)
-			if err != nil {
-				return failf(KindResetElide, "%s early=%v: full-reset reused run failed: %v", c.name, early, err)
-			}
-			fullRec := record{results: resF, output: append([]mem.Word(nil), mf.Output...)}
-			if !fullRec.equal(reused) {
-				return failf(KindResetElide, "%s early=%v: elided-reset run %v/%v, full-reset run %v/%v",
-					c.name, early, reused.results, reused.output, fullRec.results, fullRec.output)
-			}
 		}
 	}
 	return nil

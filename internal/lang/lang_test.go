@@ -8,6 +8,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/linker"
 	"repro/internal/mem"
+	"repro/internal/workload"
 )
 
 // run compiles sources, links them, and runs entry on all three machine
@@ -494,4 +495,17 @@ proc main() {
 	if res[0] != 42 {
 		t.Fatalf("main() = %v", res)
 	}
+}
+
+// FuzzCompile: no source makes CompileAll panic. The corpus programs seed
+// it; the nesting bound keeps deep inputs from growing the stack.
+func FuzzCompile(f *testing.F) {
+	for _, p := range workload.Corpus() {
+		for _, src := range p.Sources {
+			f.Add(src)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = lang.CompileAll(map[string]string{"m": src}) // errors are expected; only a panic fails
+	})
 }

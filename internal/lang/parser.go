@@ -2,10 +2,18 @@ package lang
 
 import "fmt"
 
+// maxNesting bounds the parser's recursion: blocks, if/else-if chains and
+// expression levels (unary operators, parentheses, call arguments)
+// together. Source nested deeper is a parse error rather than an
+// unbounded goroutine stack, and it bounds the AST depth every later pass
+// recurses over.
+const maxNesting = 500
+
 type parser struct {
 	module string
 	toks   []Token
 	pos    int
+	depth  int // current nesting, checked against maxNesting by nest
 }
 
 // Parse parses one module source.
@@ -36,6 +44,15 @@ func (p *parser) advance() Token {
 
 func (p *parser) errf(t Token, format string, args ...interface{}) error {
 	return &Error{Module: p.module, Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
+}
+
+// nest enters one nesting level; the caller defers p.depth-- on success.
+func (p *parser) nest() error {
+	if p.depth >= maxNesting {
+		return p.errf(p.cur(), "nesting deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	return nil
 }
 
 func (p *parser) expect(k Kind) (Token, error) {
@@ -195,6 +212,10 @@ func (p *parser) procDecl() (*ProcDecl, error) {
 }
 
 func (p *parser) block() (*Block, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	if _, err := p.expect(LBRACE); err != nil {
 		return nil, err
 	}
@@ -317,6 +338,10 @@ func (p *parser) scanAssignTargets() (bool, int) {
 }
 
 func (p *parser) ifStmt() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	t := p.advance() // if
 	if _, err := p.expect(LPAREN); err != nil {
 		return nil, err
@@ -390,6 +415,10 @@ func (p *parser) binExpr(minPrec int) (Expr, error) {
 }
 
 func (p *parser) unary() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	t := p.cur()
 	switch t.Kind {
 	case MINUS, BANG, TILDE:

@@ -139,11 +139,10 @@ func benchParked(b *testing.B) (parked, target *fpc.Machine) {
 
 // BenchmarkSnapshotRestore is the machine-side cost of a process switch —
 // Snapshot a mid-run machine, Restore the continuation onto another
-// machine of the same image — the per-timeslice work of internal/sched
-// and the in-memory half of a /session boundary. Compare
-// BenchmarkColdBoot: restore must stay an order of magnitude cheaper
-// than booting the program from scratch for parking to be an admission
-// policy rather than a penalty (recorded in BENCH_serve.json).
+// machine of the same image — the in-memory half of a /session boundary.
+// Compare BenchmarkColdBoot: restore must stay an order of magnitude
+// cheaper than booting the program from scratch for parking to be an
+// admission policy rather than a penalty (recorded in BENCH_serve.json).
 func BenchmarkSnapshotRestore(b *testing.B) {
 	m, target := benchParked(b)
 	b.ReportAllocs()

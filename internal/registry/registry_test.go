@@ -49,8 +49,8 @@ func TestSubmitTwiceLoadsOnce(t *testing.T) {
 	if err != nil || hit1 {
 		t.Fatalf("first submit: hit=%v err=%v", hit1, err)
 	}
-	if !e1.Certified() {
-		t.Error("fib should load certified")
+	if e1.Image().VerifyReport() == nil {
+		t.Error("verified load kept no report")
 	}
 	e2, hit2, err := r.Submit(buildProg(t, 1)) // same bytes, separate build
 	if err != nil || !hit2 {

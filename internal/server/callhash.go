@@ -62,7 +62,7 @@ func (s *Server) handleCallHash(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := RunResponse{Hash: ent.Hash(), Cached: true, Certified: ent.Certified(), CertReasons: certReasons(ent)}
+	resp := RunResponse{Hash: ent.Hash(), Cached: true}
 	fillRun(&resp, cr, runErr)
 	writeJSON(w, status, &resp)
 }

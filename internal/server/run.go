@@ -50,27 +50,9 @@ type RunResponse struct {
 	Hash string `json:"hash,omitempty"`
 	// Cached reports whether this request hit the registry (zero
 	// verification, linking or predecode work was done for it).
-	Cached bool `json:"cached"`
-	// Certified reports whether the run was verifier-certified (the
-	// stack-window test elided). When a verified image was admitted but
-	// denied the certificate, CertReasons carries the verifier's distinct
-	// reason codes — why this program fell back to checked dispatch.
-	Certified   bool     `json:"certified,omitempty"`
-	CertReasons []string `json:"certReasons,omitempty"`
+	Cached      bool     `json:"cached"`
 	Error       string   `json:"error,omitempty"`
 	Diagnostics []string `json:"diagnostics,omitempty"`
-}
-
-// certReasons extracts the denial reason codes of an uncertified verified
-// image; nil for certified or unverified images.
-func certReasons(ent *registry.Entry) []string {
-	if ent.Certified() {
-		return nil
-	}
-	if rep := ent.Image().VerifyReport(); rep != nil {
-		return rep.CertReasons()
-	}
-	return nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -134,7 +116,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := RunResponse{Hash: ent.Hash(), Cached: cached, Certified: ent.Certified(), CertReasons: certReasons(ent)}
+	resp := RunResponse{Hash: ent.Hash(), Cached: cached}
 	fillRun(&resp, cr, runErr)
 	writeJSON(w, status, &resp)
 }

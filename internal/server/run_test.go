@@ -58,8 +58,7 @@ func runPost(t *testing.T, ts *httptest.Server, req server.RunRequest) (int, ser
 	return resp.StatusCode, rr
 }
 
-// A healthy submitted program runs to completion, and — being certifiable
-// — on the certified dispatch table.
+// A healthy submitted program runs to completion.
 func TestRunEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Verify: true})
 	status, rr := runPost(t, ts, server.RunRequest{
@@ -75,9 +74,6 @@ func TestRunEndpoint(t *testing.T) {
 	}
 	if rr.Steps == 0 {
 		t.Error("no steps accounted")
-	}
-	if !rr.Certified {
-		t.Error("fib should run certified")
 	}
 }
 
@@ -106,6 +102,32 @@ func TestRunVerifyRejected(t *testing.T) {
 	if vals["fpcd_verify_rejected_total"] != 1 {
 		t.Errorf("fpcd_verify_rejected_total = %v, want 1", vals["fpcd_verify_rejected_total"])
 	}
+	if vals["fpc_server_steps_served_total"] != 0 {
+		t.Errorf("steps served = %v, want 0", vals["fpc_server_steps_served_total"])
+	}
+}
+
+// Source nested past the parser's limit is a compile error: 400 and no
+// machine step spent. A 1 MiB body of parentheses would otherwise recurse
+// hundreds of thousands of levels deep before admission.
+func TestRunDeepNestingRejected(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{Verify: true})
+	const depth = 100_000
+	src := "module m;\nproc main() { return " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "; }\n"
+	body, err := json.Marshal(server.RunRequest{Modules: map[string]string{"m": src}, Entry: "m.main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "nesting deeper than") {
+		t.Fatalf("status %d body %q, want 400 with the parser's nesting error", resp.StatusCode, msg)
+	}
+	vals, _ := scrapeMetrics(t, ts)
 	if vals["fpc_server_steps_served_total"] != 0 {
 		t.Errorf("steps served = %v, want 0", vals["fpc_server_steps_served_total"])
 	}

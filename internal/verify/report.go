@@ -13,8 +13,7 @@ type Level uint8
 // the pc, definitely fails or definitely corrupts machine state — the
 // verifier rejects the program. A Warn marks something the verifier cannot
 // prove safe (a possible stack fault, a dynamic transfer it cannot trace);
-// the program is still admitted, but a cert-blocking Warn denies the
-// stack-bounds certificate.
+// the program is still admitted.
 const (
 	LevelWarn Level = iota
 	LevelError
@@ -77,17 +76,12 @@ const (
 	// ReasonArgOverrun: a call site can carry more stack words than the
 	// callee's frame class holds below its size.
 	ReasonArgOverrun Reason = "arg-overrun"
-	// ReasonDynamicTransfer: a reachable XFERO or STRAP whose target the
-	// summary engine could not pin to a tracked context — the transfer is a
-	// may-edge, so the certificate is withheld. (COCREATE with a constant
-	// descriptor, transfers between tracked coroutines and STRAP of a known
-	// handler no longer raise this; they are certified via resume pools and
-	// handler summaries.)
+	// ReasonDynamicTransfer: a reachable XFERO, COCREATE or STRAP — a
+	// transfer outside call/return structure, so a may-edge whose
+	// resumption depth is unknown.
 	ReasonDynamicTransfer Reason = "dynamic-transfer"
-	// ReasonUnsafeFree: a reachable FREE or FFREE of a context the engine
-	// cannot prove dead-safe — an unknown word, a possibly live caller or
-	// transferrer frame, a possible double free, or a frame whose procedure
-	// does not retain on every return.
+	// ReasonUnsafeFree: a reachable FREE or FFREE — the analysis does not
+	// track which context is released, so a live frame may be torn down.
 	ReasonUnsafeFree Reason = "unsafe-free"
 	// ReasonHeapStore: a reachable STIND or WFB — a raw store that can
 	// rewrite frame words, saved pcs or table linkage, invalidating every
@@ -102,16 +96,6 @@ const (
 	// ReasonIrregularCall: a call target is not a procedure entry the
 	// linker laid out, so its result depth is unknown.
 	ReasonIrregularCall Reason = "irregular-call"
-	// ReasonHeapEscape: a write provably lands outside run-allocated
-	// storage (module globals, the boot image): the run mutates state that
-	// survives into the next session unless Reset restores it. Blocks the
-	// heap-effects certificate only.
-	ReasonHeapEscape Reason = "heap-escape"
-	// ReasonHeapUnknownTarget: a write whose target the effects analysis
-	// cannot place (an untracked pointer store, an out-of-range local or
-	// global index): the write set is unbounded. Blocks the heap-effects
-	// certificate only.
-	ReasonHeapUnknownTarget Reason = "heap-unknown-target"
 )
 
 // Diag is one per-pc diagnostic.
@@ -121,15 +105,8 @@ type Diag struct {
 	Level  Level
 	Reason Reason
 	Msg    string
-	// Cert marks a Warn that withholds the stack-bounds certificate: the
-	// reason codes of these diagnostics explain an Admitted-but-uncertified
-	// verdict.
+	// Cert marks a Warn that withholds Report.CertStackBounds.
 	Cert bool
-	// Heap marks a Warn that withholds the heap-effects certificate only:
-	// the write set escapes run-allocated storage or cannot be bounded.
-	// Heap diagnostics never affect admission or the stack-bounds
-	// certificate.
-	Heap bool
 }
 
 // String renders the diagnostic one per line, fpcdis-style.
@@ -152,98 +129,25 @@ type ProcInfo struct {
 	// its result arity interval. Both are -1 when no RET was reached (the
 	// procedure provably never returns normally).
 	ResultLo, ResultHi int
-	// Entry contexts the summary engine attributed to the procedure.
-	// Called: reachable as an ordinary callee. TrapHandler: installed by a
-	// reachable STRAP with a constant descriptor. XferTarget: a frame of
-	// this procedure can be entered or resumed by a coroutine transfer.
-	Called, TrapHandler, XferTarget bool
-	// ResumeLo/ResumeHi bound the cross-depths (stack words carried) of the
-	// transfers that can resume a suspended frame of this procedure — its
-	// resume pool. Both are -1 when no tracked transfer targets it.
-	ResumeLo, ResumeHi int
-	// Retained reports that every reached return of the procedure carries
-	// the RETAIN mark, so its frame outlives the call (§4 keepers).
-	Retained bool
-	// Writes is the procedure's heap write-set summary, including
-	// everything its callees, transfer targets and armed trap handlers can
-	// write on its behalf.
-	Writes WriteSet
-}
-
-// WriteSet is a heap write-set summary: which storage classes a procedure
-// (or the whole program) can write during a run. Frame-arena traffic —
-// call frames, AV free-list links, records granted by AFB and released
-// before certification cares — is the Frames/Records bits; Globals marks
-// writes into module global space (state the boot image owns); Unknown
-// marks a write the analysis could not place, which makes every bound
-// vacuous.
-type WriteSet struct {
-	// Frames: frame-arena linkage traffic (call frames, AV links, saved
-	// state). Every call or return sets it; it never blocks a certificate.
-	Frames bool
-	// Globals: stores into module global words (SGB in range).
-	Globals bool
-	// Records: stores into run-allocated records the verifier tracked.
-	Records bool
-	// Unknown: a write whose target could not be placed. All bounds are
-	// off.
-	Unknown bool
-}
-
-// union folds another write set into w.
-func (w WriteSet) union(o WriteSet) WriteSet {
-	return WriteSet{
-		Frames:  w.Frames || o.Frames,
-		Globals: w.Globals || o.Globals,
-		Records: w.Records || o.Records,
-		Unknown: w.Unknown || o.Unknown,
-	}
-}
-
-// String renders the write set as a compact class list.
-func (w WriteSet) String() string {
-	var parts []string
-	if w.Frames {
-		parts = append(parts, "frames")
-	}
-	if w.Records {
-		parts = append(parts, "records")
-	}
-	if w.Globals {
-		parts = append(parts, "globals")
-	}
-	if w.Unknown {
-		parts = append(parts, "unknown")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, "+")
+	// Called: the procedure is the target of a resolved static call.
+	Called bool
 }
 
 // EdgeKind classifies a call-graph edge.
 type EdgeKind uint8
 
 // Edge kinds. EdgeCall is an ordinary call with a statically resolved
-// callee; EdgeXfer a coroutine transfer whose target region the summary
-// engine pinned down; EdgeTrap a trap dispatch to a known handler;
-// EdgeMay an edge whose target is unknown.
+// callee; EdgeMay an edge whose target is unknown (a transfer, a trap
+// dispatch or an unresolved link).
 const (
 	EdgeCall EdgeKind = iota
-	EdgeXfer
-	EdgeTrap
 	EdgeMay
 )
 
 // String names the edge kind.
 func (k EdgeKind) String() string {
-	switch k {
-	case EdgeCall:
+	if k == EdgeCall {
 		return "call"
-	case EdgeXfer:
-		return "xfer"
-	case EdgeTrap:
-		return "trap"
 	}
 	return "may"
 }
@@ -265,41 +169,16 @@ type Report struct {
 	// Depths holds the per-pc abstract stack-depth interval [lo, hi] of
 	// every reachable pc.
 	Depths map[uint32][2]int
-	// CertStackBounds is the stack-bounds certificate: every reachable
-	// instruction provably keeps the evaluation stack inside
-	// [0, isa.EvalStackDepth], and nothing reachable can corrupt the
-	// linkage the proof depends on — a machine running this image may skip
-	// the per-instruction stack-bounds checks.
+	// CertStackBounds reports that every reachable instruction provably
+	// keeps the evaluation stack inside [0, isa.EvalStackDepth] and nothing
+	// reachable can corrupt the linkage the proof depends on. It is
+	// reported only: every machine tests the stack window before each
+	// dispatch regardless.
 	CertStackBounds bool
-	// CertHeapEffects is the heap-effects certificate: every write the
-	// program can perform provably lands in storage the run itself
-	// allocated (frame arena, tracked records) — nothing escapes into the
-	// boot image's state. A Reset after a certified run has a statically
-	// known repair bound.
-	CertHeapEffects bool
-	// Writes is the program-level write-set summary: the union over every
-	// reachable procedure and every pc outside procedure regions.
-	Writes WriteSet
-	// WriteFree reports that the run writes nothing the boot image owns:
-	// no globals, no tracked records, no unknown targets — only the frame
-	// arena the allocator and dirty tracking already account for. Reset
-	// may elide the memory restore when the dirty window confirms it.
-	WriteFree bool
-	// GlobalWords is the total global-word footprint of the program's
-	// module instances when Writes.Globals is set (0 otherwise): the
-	// static cap on boot-image words a certified run can touch.
-	GlobalWords int
-	// MaxDirtyWords bounds the words a certified run can dirty in the
-	// globals window [layout.GlobalsBase, HeapBase): -1 when the write set
-	// is Unknown, else GlobalWords. Frame and record traffic lands in the
-	// AV heads below the window and the frame arena above it, so the bound
-	// is exactly the escaping footprint.
-	MaxDirtyWords int
 }
 
 // Admitted reports whether the program passed verification: no Error-level
-// diagnostic. An admitted program may still carry Warns (and be denied the
-// certificate).
+// diagnostic. An admitted program may still carry Warns.
 func (r *Report) Admitted() bool {
 	for _, d := range r.Diags {
 		if d.Level == LevelError {
@@ -331,54 +210,6 @@ func (r *Report) Warnings() []Diag {
 	return out
 }
 
-// CertReasons returns the sorted distinct reason codes of the
-// certificate-blocking diagnostics: why an admitted program was denied
-// CertStackBounds. Empty for certified (or rejected) programs.
-func (r *Report) CertReasons() []string {
-	seen := map[Reason]bool{}
-	var out []string
-	for _, d := range r.Diags {
-		if d.Cert && !seen[d.Reason] {
-			seen[d.Reason] = true
-			out = append(out, string(d.Reason))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// HeapCertReasons returns the sorted distinct reason codes of the
-// heap-blocking diagnostics: why an admitted program was denied
-// CertHeapEffects. Empty for heap-certified (or rejected) programs.
-func (r *Report) HeapCertReasons() []string {
-	seen := map[Reason]bool{}
-	var out []string
-	for _, d := range r.Diags {
-		if d.Heap && !seen[d.Reason] {
-			seen[d.Reason] = true
-			out = append(out, string(d.Reason))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PrimaryCertReason returns the reason code of the certificate-blocking
-// diagnostic at the lowest pc — the headline answer to "why is this
-// program not certified" — or "" when nothing blocks the certificate.
-func (r *Report) PrimaryCertReason() string {
-	best := -1
-	for i, d := range r.Diags {
-		if d.Cert && (best < 0 || d.PC < r.Diags[best].PC) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return ""
-	}
-	return string(r.Diags[best].Reason)
-}
-
 // DepthAt reports the abstract stack-depth bounds at pc; ok is false when
 // the verifier proved pc unreachable.
 func (r *Report) DepthAt(pc uint32) (lo, hi int, ok bool) {
@@ -391,32 +222,13 @@ func (r *Report) DepthAt(pc uint32) (lo, hi int, ok bool) {
 func (r *Report) String() string {
 	var b strings.Builder
 	verdict := "admitted"
-	if !r.Admitted() {
+	switch {
+	case !r.Admitted():
 		verdict = "rejected"
-	} else {
-		var certs []string
-		if r.CertStackBounds {
-			certs = append(certs, "stack bounds")
-		}
-		if r.CertHeapEffects {
-			certs = append(certs, "heap effects")
-		}
-		if len(certs) > 0 {
-			verdict = "admitted, " + strings.Join(certs, " + ") + " certified"
-		}
+	case r.CertStackBounds:
+		verdict = "admitted, stack bounds proven"
 	}
 	fmt.Fprintf(&b, "verify: %s (%d diagnostics)\n", verdict, len(r.Diags))
-	if r.Admitted() {
-		dirty := "unbounded"
-		if r.MaxDirtyWords >= 0 {
-			dirty = fmt.Sprintf("<=%d words", r.MaxDirtyWords)
-		}
-		extra := ""
-		if r.WriteFree {
-			extra = ", write-free"
-		}
-		fmt.Fprintf(&b, "  writes: %s (dirty globals %s%s)\n", r.Writes, dirty, extra)
-	}
 	diags := append([]Diag(nil), r.Diags...)
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].Level != diags[j].Level {
@@ -436,28 +248,11 @@ func (r *Report) String() string {
 		if p.ResultLo >= 0 {
 			res = fmt.Sprintf("results [%d,%d]", p.ResultLo, p.ResultHi)
 		}
-		var ctx []string
+		called := ""
 		if p.Called {
-			ctx = append(ctx, "called")
+			called = " (called)"
 		}
-		if p.TrapHandler {
-			ctx = append(ctx, "trap handler")
-		}
-		if p.XferTarget {
-			ctx = append(ctx, "xfer target")
-		}
-		if p.ResumeLo >= 0 {
-			ctx = append(ctx, fmt.Sprintf("resume [%d,%d]", p.ResumeLo, p.ResumeHi))
-		}
-		if p.Retained {
-			ctx = append(ctx, "retained")
-		}
-		ctx = append(ctx, "writes "+p.Writes.String())
-		line := fmt.Sprintf("  proc %s @%06x: max stack %d, %s", p.Name, p.Entry, p.MaxDepth, res)
-		if len(ctx) > 0 {
-			line += " (" + strings.Join(ctx, ", ") + ")"
-		}
-		fmt.Fprintf(&b, "%s\n", line)
+		fmt.Fprintf(&b, "  proc %s @%06x: max stack %d, %s%s\n", p.Name, p.Entry, p.MaxDepth, res, called)
 	}
 	return b.String()
 }

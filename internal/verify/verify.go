@@ -1,38 +1,25 @@
-// Package verify is the link-time bytecode verifier: a two-stage static
-// analysis over the predecoded instruction stream of a linked program.
+// Package verify is the link-time bytecode verifier: a static analysis
+// over the predecoded instruction stream of a linked program that decides
+// admission.
 //
-// Stage 1 — the summary engine (summary.go) — is a worklist abstract
-// interpreter computing, for every reachable pc, an evaluation-stack depth
-// interval plus (for programs whose transfer surface is statically
-// disciplined) an abstract value per stack slot and definitely-assigned
-// local (values.go). Procedures are analyzed once, CFA2-style, against a
-// canonical [0,0] entry context — the engine's enterProc always delivers
-// the argument record into frame locals and clears the stack — and
-// tabulated: each call site reads the callee's result-depth summary, so
-// recursion converges and every call site sees its own return depth
-// rather than a join over unrelated callers. Transfers get the same
-// treatment: XFERO sites with statically known targets feed per-region
-// resume pools (the depths a suspended frame can be resumed with),
-// COCREATE results and retctx/myctx words carry provenance, and STRAP
-// with a known handler descriptor turns TRAPB/DIV into calls against the
-// handler's result summary. The moment anything reachable could corrupt
-// the facts this rests on (a raw store, an untracked FREE, a transfer to
-// an unknown context), the analysis restarts with values off and falls
-// back to the purely conservative interval semantics.
-//
-// Stage 2 — certificate derivation (certify.go) — re-walks the fixpoint
-// and decides the stack-bounds certificate: whether every reachable
-// instruction provably keeps the stack inside [0, isa.EvalStackDepth] and
-// nothing reachable can corrupt the linkage the proof depends on. It also
-// assembles the per-context report: entry kinds, resume-depth pools,
-// result summaries and the reason codes explaining a withheld
-// certificate.
+// The analysis (summary.go) is a worklist abstract interpreter computing,
+// for every reachable pc, an evaluation-stack depth interval. Procedures
+// are analyzed once, CFA2-style, against a canonical [0,0] entry context —
+// the engine's enterProc always delivers the argument record into frame
+// locals and clears the stack — and tabulated: each call site reads the
+// callee's result-depth summary, so recursion converges and every call
+// site sees its own return depth rather than a join over unrelated
+// callers. Transfers whose target is not a static call (XFERO, COCREATE,
+// STRAP) widen the stack to unknown. A program that reaches a STRAP is
+// analyzed a second time with in-machine trap dispatch possible at every
+// TRAPB and division.
 //
 // Diagnostics come in two grades. Error marks a pc where reaching it
 // definitely fails or corrupts the machine — the program is rejected
 // (Report.Admitted() == false). Warn marks what cannot be proven safe;
-// the program is admitted, but any certificate-blocking Warn (Diag.Cert)
-// withholds CertStackBounds.
+// the program is admitted. Report.CertStackBounds summarizes the Warns
+// that concern the stack window (Diag.Cert); it is reported only, and
+// every machine tests the window before each dispatch regardless.
 package verify
 
 import (
@@ -63,55 +50,9 @@ func (a interval) join(b interval) interval {
 	return a
 }
 
-func (a interval) exact() bool { return a.lo == a.hi }
-
-// absState is the per-pc abstract state. The depth interval drives
-// admission; the rest exists only while value tracking is on and only
-// ever sharpens or withholds the certificate.
-type absState struct {
-	d      interval
-	stored uint64  // must-assigned local slots (definite assignment)
-	ret    bool    // current frame retained on every path reaching pc
-	freed  regSet  // regions a frame of which may have been freed
-	frec   regSet  // allocation sites a record of which may have been freed
-	vals   []value // stack values, bottom first; nil = untracked
-	locs   []value // flow-sensitive local values; nil/short slots = untracked
-}
-
-func (s absState) join(o absState) absState {
-	return absState{
-		d:      s.d.join(o.d),
-		stored: s.stored & o.stored,
-		ret:    s.ret && o.ret,
-		freed:  s.freed.union(o.freed),
-		frec:   s.frec.union(o.frec),
-		vals:   joinVals(s.vals, o.vals),
-		locs:   joinLocs(s.locs, o.locs),
-	}
-}
-
-// deriv carries every frame-local fact (assigned locals, retain mark,
-// freed sets, local values) into a successor state with depth d and an
-// untracked stack. Every intra-frame propagation builds on it, so adding
-// a frame-local fact to absState means adding it here, once.
-func (s absState) deriv(d interval) absState {
-	return absState{d: d, stored: s.stored, ret: s.ret, freed: s.freed, frec: s.frec, locs: s.locs}
-}
-
-func (s absState) equal(o absState) bool {
-	if s.d != o.d || s.stored != o.stored || s.ret != o.ret || s.freed != o.freed || s.frec != o.frec {
-		return false
-	}
-	if (s.vals == nil) != (o.vals == nil) || len(s.vals) != len(o.vals) {
-		return false
-	}
-	for i := range s.vals {
-		if s.vals[i] != o.vals[i] {
-			return false
-		}
-	}
-	return locsEqual(s.locs, o.locs)
-}
+// entryDepth is the canonical procedure entry context: enterProc always
+// clears the stack.
+var entryDepth = interval{0, 0}
 
 // region is one procedure's code range [entry, end) as the linker laid it
 // out; end is the next inline header in the segment (or the segment end).
@@ -139,79 +80,30 @@ type analyzer struct {
 	instByCB    map[uint32]*image.Instance
 	boundary    []bool // canonical instruction boundaries per region
 
-	// values: stage 1 tracks the value lattice. Cleared (with a full
-	// rerun) the first time the run or the certificate scan discovers a
-	// taint — a reachable operation that could invalidate value-derived
-	// facts. The fallback run is exactly the old conservative analysis.
-	values bool
-	taint  bool
+	// trapsPossible: a run reached a STRAP (sawStrap), so the rerun lets
+	// every TRAPB and division transfer to an in-machine handler.
+	sawStrap      bool
+	trapsPossible bool
 
-	state   []absState
+	state   []interval
 	reached []bool
 	work    []uint32
 	queued  []bool
 
-	// Per-region result summaries (join of RET states).
-	sum      []interval // result-depth summary
-	sumOK    []bool
-	sumVals  [][]value  // result values (nil once arities disagree)
-	sumValsN []bool     // sumVals meaningful (at least one RET folded)
-	sumFreed []regSet   // regions the callee's subtree may free
-	deps     [][]uint32 // call/desc-transfer sites awaiting the summary
-	depSeen  map[uint64]bool
-	maxHi    []int // per region: max hi over its reached pcs
+	// Per-region result summaries (join of RET depths).
+	sum         []interval
+	sumOK       []bool
+	deps        [][]uint32 // call sites awaiting the summary
+	depSeen     map[uint64]bool
+	maxHi       []int  // per region: max hi over its reached pcs
+	callEntered []bool // region can be entered by a static call
 
-	// Record allocation sites: each reachable AFB gets a stable site index
-	// whose payload (the frame class's word count) bounds certified writes
-	// through pointers carrying the site.
-	recSiteOf   map[uint32]int
-	sitePayload []int
-
-	// Per-region resume pools: the depths (and freed masks) a frame of
-	// the region can be resumed with at its XFERO suspension points.
-	pool      []interval
-	poolOK    []bool
-	poolFreed []regSet
-	xferSrc   []regSet   // regions with an XFERO site targeting this region
-	xferSites [][]uint32 // XFERO pcs inside this region (requeued on pool growth)
-	lrcSites  [][]uint32 // LRC pcs inside this region
-	llSites   [][]uint32 // guarded local loads inside this region
-	siteSeen  map[uint64]bool
-
-	// Trap-handler model (values mode): armed is "a STRAP arming some
-	// handler is reachable"; handlers is the region set of statically known
-	// handler descriptors. The conservative fallback instead reruns with
-	// trapsPossible once a run reaches any STRAP (sawStrap), exactly the
-	// old two-pass interval analysis.
-	armed         bool
-	handlers      regSet
-	trapSites     []uint32 // TRAPB/DIV/MOD pcs, requeued when the model grows
-	trapSeen      map[uint32]bool
-	sawStrap      bool
-	trapsPossible bool
-	// defFlow records pcs whose fixed stack effect looked like a definite
-	// under/overflow mid-fixpoint (values mode). Joins move both interval
-	// ends, so the judgment is non-monotone: certify re-checks each site
-	// against the final state and only then emits the Error.
-	defFlow map[uint32][2]int // pc -> {pops, pushes}
-
-	callEntered []bool    // region can be entered by a static call or as a trap handler
-	retainedAll []bool    // every reached RET of the region carries the retained mark
-	retSeen     []bool    // region has a reached RET
-	env         [][]value // per region, per local slot: join of stored values
-	envInit     []uint64  // slots of env holding at least one stored value
-
+	definite map[uint32][2]int // pc -> {pops, pushes} of an effect that looked definite
 	diags    []Diag
 	seen     map[diagKey]bool
 	certOK   bool
-	heapOK   bool
 	calls    []CallEdge
 	callSeen map[CallEdge]bool
-
-	// Stage-3 results (effects.go): per-region and whole-program write
-	// sets, computed once over the final fixpoint.
-	writes     []WriteSet
-	progWrites WriteSet
 }
 
 // Program verifies a linked program and returns the structured report.
@@ -232,27 +124,17 @@ func Program(p *image.Program) *Report {
 	}
 	a.buildRegions()
 	a.buildBoundaries()
-	a.values = len(a.regions) > 0 && len(a.regions) <= maxTrackedRegions
-	for {
+	a.reset()
+	a.run()
+	if a.sawStrap {
+		// A reachable STRAP: rerun with in-machine trap dispatch possible
+		// everywhere (the handler installed at any point governs every
+		// TRAPB and division).
+		a.trapsPossible = true
 		a.reset()
 		a.run()
-		a.certify()
-		if a.values && a.taint {
-			// Something reachable invalidates the value-derived facts:
-			// rerun with the conservative interval semantics only.
-			a.values, a.taint = false, false
-			continue
-		}
-		if !a.values && a.sawStrap && !a.trapsPossible {
-			// Conservative mode reached a STRAP: rerun with in-machine trap
-			// dispatch possible everywhere (the handler installed at any
-			// point governs every TRAPB and division).
-			a.trapsPossible = true
-			continue
-		}
-		break
 	}
-	a.effects()
+	a.definiteFaults()
 	return a.report()
 }
 
@@ -317,49 +199,24 @@ func (a *analyzer) buildBoundaries() {
 func (a *analyzer) reset() {
 	n := len(a.code)
 	nr := len(a.regions)
-	a.state = make([]absState, n)
+	a.state = make([]interval, n)
 	a.reached = make([]bool, n)
 	a.work = a.work[:0]
 	a.queued = make([]bool, n)
 	a.sum = make([]interval, nr)
 	a.sumOK = make([]bool, nr)
-	a.sumVals = make([][]value, nr)
-	a.sumValsN = make([]bool, nr)
-	a.sumFreed = make([]regSet, nr)
 	a.deps = make([][]uint32, nr)
 	a.depSeen = map[uint64]bool{}
 	a.maxHi = make([]int, nr)
 	for i := range a.maxHi {
 		a.maxHi[i] = -1
 	}
-	a.recSiteOf = map[uint32]int{}
-	a.sitePayload = a.sitePayload[:0]
-	a.pool = make([]interval, nr)
-	a.poolOK = make([]bool, nr)
-	a.poolFreed = make([]regSet, nr)
-	a.xferSrc = make([]regSet, nr)
-	a.xferSites = make([][]uint32, nr)
-	a.lrcSites = make([][]uint32, nr)
-	a.llSites = make([][]uint32, nr)
-	a.siteSeen = map[uint64]bool{}
-	a.armed = false
-	a.handlers = regSet{}
-	a.trapSites = a.trapSites[:0]
-	a.trapSeen = map[uint32]bool{}
-	a.sawStrap = false
-	a.defFlow = map[uint32][2]int{}
 	a.callEntered = make([]bool, nr)
-	a.retainedAll = make([]bool, nr)
-	for i := range a.retainedAll {
-		a.retainedAll[i] = true
-	}
-	a.retSeen = make([]bool, nr)
-	a.env = make([][]value, nr)
-	a.envInit = make([]uint64, nr)
+	a.sawStrap = false
+	a.definite = map[uint32][2]int{}
 	a.diags = nil
 	a.seen = map[diagKey]bool{}
 	a.certOK = true
-	a.heapOK = true
 	a.calls = nil
 	a.callSeen = map[CallEdge]bool{}
 
@@ -367,7 +224,7 @@ func (a *analyzer) reset() {
 	// the target of a serving call, a coroutine creation or a trap handler
 	// installation, and enterProc always clears the stack.
 	for _, reg := range a.regions {
-		a.joinInto(reg.entry, a.entryState(regSet{}))
+		a.joinInto(reg.entry, entryDepth)
 	}
 	// The program's start descriptor must itself resolve.
 	if a.p.Entry != 0 {
@@ -378,19 +235,6 @@ func (a *analyzer) reset() {
 			a.resolveDescriptor(0, a.p.Entry, ReasonBadDescriptor, "entry ")
 		}
 	}
-}
-
-// entryState is the canonical procedure entry context: empty stack, no
-// definitely-assigned locals (arguments arrive as frame garbage as far as
-// the value lattice is concerned), carrying the caller's freed set.
-// Record pointers never cross a call (RET summaries sanitize them), so the
-// freed-site set starts empty.
-func (a *analyzer) entryState(freed regSet) absState {
-	s := absState{d: interval{0, 0}, freed: freed}
-	if a.values {
-		s.vals = []value{}
-	}
-	return s
 }
 
 func (a *analyzer) run() {
@@ -409,27 +253,27 @@ func (a *analyzer) enqueue(pc uint32) {
 	}
 }
 
-// joinInto merges s into pc's state, queueing pc when it grew.
-func (a *analyzer) joinInto(pc uint32, s absState) {
+// joinInto merges d into pc's state, queueing pc when it grew.
+func (a *analyzer) joinInto(pc uint32, d interval) {
 	if int(pc) >= len(a.code) {
 		return
 	}
 	if !a.reached[pc] {
 		a.reached[pc] = true
-		a.state[pc] = s
+		a.state[pc] = d
 		a.enqueue(pc)
 		return
 	}
-	if j := a.state[pc].join(s); !j.equal(a.state[pc]) {
+	if j := a.state[pc].join(d); j != a.state[pc] {
 		a.state[pc] = j
 		a.enqueue(pc)
 	}
 }
 
-// propagate flows s along an intra-procedural edge from → to (fall-through
+// propagate flows d along an intra-procedural edge from → to (fall-through
 // or jump), reporting a fall off the end of the code space and flows that
 // cross a procedure boundary.
-func (a *analyzer) propagate(from, to uint32, s absState) {
+func (a *analyzer) propagate(from, to uint32, d interval) {
 	if int(to) >= len(a.code) {
 		a.diag(from, LevelError, ReasonFallOffEnd,
 			"execution runs past the %d-byte code space", len(a.code))
@@ -439,7 +283,7 @@ func (a *analyzer) propagate(from, to uint32, s absState) {
 		a.diagCert(from, ReasonCrossProcFlow,
 			"control flows from %s into %s without a call", a.regionName(rf), a.regionName(rt))
 	}
-	a.joinInto(to, s)
+	a.joinInto(to, d)
 }
 
 func (a *analyzer) regionName(r int32) string {
@@ -484,27 +328,6 @@ func (a *analyzer) diagCert(pc uint32, reason Reason, format string, args ...int
 	})
 }
 
-// diagHeap emits a Warn that withholds only the heap-effects certificate:
-// the write lands outside run-allocated storage (or cannot be bounded),
-// but the stack-bounds proof is untouched by it.
-func (a *analyzer) diagHeap(pc uint32, reason Reason, format string, args ...interface{}) {
-	a.heapOK = false
-	k := diagKey{pc, reason}
-	if a.seen[k] {
-		return
-	}
-	a.seen[k] = true
-	a.diags = append(a.diags, Diag{
-		PC: pc, Proc: a.procName(pc), Level: LevelWarn, Reason: reason, Heap: true,
-		Msg: fmt.Sprintf(format, args...),
-	})
-}
-
-// setTaint abandons value tracking: the current run finishes (its
-// admission diagnostics are discarded anyway) and Program reruns the
-// whole analysis with the conservative semantics.
-func (a *analyzer) setTaint() { a.taint = true }
-
 func (a *analyzer) edge(from, callee uint32, kind EdgeKind) {
 	e := CallEdge{FromPC: from, Callee: callee, Kind: kind, May: kind == EdgeMay}
 	if !a.callSeen[e] {
@@ -514,19 +337,6 @@ func (a *analyzer) edge(from, callee uint32, kind EdgeKind) {
 }
 
 func (a *analyzer) mayEdge(pc uint32) { a.edge(pc, 0, EdgeMay) }
-
-// markCallEntered records that region r can be entered by a static call
-// or trap dispatch: its retctx may then name a frame suspended inside a
-// call, which the resume-pool model must not cover.
-func (a *analyzer) markCallEntered(r int) {
-	if r < 0 || r >= len(a.callEntered) || a.callEntered[r] {
-		return
-	}
-	a.callEntered[r] = true
-	for _, pc := range a.lrcSites[r] {
-		a.enqueue(pc)
-	}
-}
 
 // resolveDescriptor statically walks the §5.1 indirection chain of a
 // packed procedure descriptor: GFT entry → global frame → code base →
@@ -589,43 +399,6 @@ func (a *analyzer) resolveEntry(pc uint32, cb uint32, evIdx int, reason Reason, 
 	return entry, fsi, true
 }
 
-// resolveDescQuiet resolves a descriptor word to a region index without
-// emitting any diagnostic: the value analysis uses it to classify COCREATE
-// operands and XFERO/STRAP targets, where an unresolvable word merely
-// degrades the value to untracked (the machine errors cleanly at runtime).
-func (a *analyzer) resolveDescQuiet(desc mem.Word) (r int, ok bool) {
-	if !image.IsProc(desc) {
-		return 0, false
-	}
-	gfi, ev := image.UnpackProc(desc)
-	gfte, present := a.data[image.GFTBase+mem.Addr(gfi)]
-	if !present {
-		return 0, false
-	}
-	gf, bias := image.UnpackGFTEntry(gfte)
-	lo, okLo := a.data[gf]
-	hi, okHi := a.data[gf+1]
-	if !okLo || !okHi {
-		return 0, false
-	}
-	cb := uint32(lo) | uint32(hi)<<16
-	evIdx := ev + bias
-	evAddr := int64(cb) + int64(2*evIdx)
-	if evAddr+1 >= int64(len(a.code)) || evAddr < 0 {
-		return 0, false
-	}
-	evOff := uint32(a.code[evAddr]) | uint32(a.code[evAddr+1])<<8
-	fsiAddr := int64(cb) + int64(evOff)
-	if fsiAddr+1 >= int64(len(a.code)) {
-		return 0, false
-	}
-	r, isEntry := a.entryRegion[uint32(fsiAddr)+1]
-	if !isEntry || r >= maxTrackedRegions {
-		return 0, false
-	}
-	return r, true
-}
-
 func (a *analyzer) report() *Report {
 	r := &Report{
 		Diags:  a.diags,
@@ -634,46 +407,17 @@ func (a *analyzer) report() *Report {
 	}
 	for pc := range a.code {
 		if a.reached[pc] {
-			r.Depths[uint32(pc)] = [2]int{a.state[pc].d.lo, a.state[pc].d.hi}
+			r.Depths[uint32(pc)] = [2]int{a.state[pc].lo, a.state[pc].hi}
 		}
 	}
 	for i, reg := range a.regions {
 		pi := ProcInfo{Name: reg.name, Entry: reg.entry, MaxDepth: a.maxHi[i],
-			ResultLo: -1, ResultHi: -1, ResumeLo: -1, ResumeHi: -1}
+			ResultLo: -1, ResultHi: -1, Called: a.callEntered[i]}
 		if a.sumOK[i] {
 			pi.ResultLo, pi.ResultHi = a.sum[i].lo, a.sum[i].hi
-		}
-		if i < maxTrackedRegions {
-			pi.Called = a.callEntered[i] && !a.handlers.has(i)
-			pi.TrapHandler = a.handlers.has(i)
-			pi.XferTarget = !a.xferSrc[i].empty()
-		} else {
-			pi.Called = a.callEntered[i]
-		}
-		if a.poolOK[i] {
-			pi.ResumeLo, pi.ResumeHi = a.pool[i].lo, a.pool[i].hi
-		}
-		pi.Retained = a.retainedAll[i] && a.retSeen[i]
-		if i < len(a.writes) {
-			pi.Writes = a.writes[i]
 		}
 		r.Procs = append(r.Procs, pi)
 	}
 	r.CertStackBounds = a.certOK && r.Admitted()
-	r.Writes = a.progWrites
-	r.WriteFree = !a.progWrites.Globals && !a.progWrites.Records && !a.progWrites.Unknown
-	r.CertHeapEffects = a.heapOK && !a.progWrites.Unknown && r.Admitted()
-	r.GlobalWords = 0
-	if a.progWrites.Globals {
-		for _, inst := range a.p.Instances {
-			r.GlobalWords += inst.Module.NumGlobals
-		}
-	}
-	switch {
-	case a.progWrites.Unknown:
-		r.MaxDirtyWords = -1
-	default:
-		r.MaxDirtyWords = r.GlobalWords
-	}
 	return r
 }

@@ -218,6 +218,36 @@ func TestDefiniteUnderflowRejected(t *testing.T) {
 	}
 }
 
+// A POP that underflows only on the path skipping a call is a possible
+// fault, not a definite one, whichever path the worklist reaches first.
+// Here the callee q is laid out (and so analyzed) after main, so the POP
+// first sees depth [0,0] from the skip path alone and only later [0,1]
+// once q's summary arrives; the verdict must be the final state's.
+func TestDefiniteFaultJudgedAtFixpoint(t *testing.T) {
+	var a image.Asm // main(x): if x != 0 { q() }; POP
+	a.Emit(isa.LL0)
+	skip := a.NewLabel()
+	a.EmitJump(isa.JZB, skip)
+	a.EmitCallLocal(0)
+	a.Bind(skip)
+	a.Emit(isa.POP)
+	a.Emit(isa.HALT)
+	var b image.Asm // q: one result
+	b.Emit(isa.LI1)
+	b.Emit(isa.RET)
+	m := &image.Module{Name: "od", Procs: []*image.Proc{
+		{Name: "q", NumResults: 1, Body: b.Fragment()},
+		{Name: "main", NumArgs: 1, NumLocals: 1, Body: a.Fragment()},
+	}}
+	r := verify.Program(linkOne(t, m, "main"))
+	if !r.Admitted() {
+		t.Fatalf("possible underflow rejected as definite:\n%s", r)
+	}
+	if !hasReason(r.Warnings(), verify.ReasonMaybeUnderflow) {
+		t.Fatalf("missing %s:\n%s", verify.ReasonMaybeUnderflow, r)
+	}
+}
+
 // A net-push loop MIGHT overflow (it does at run time, but only after some
 // iterations): the verifier admits it — the machine's checked push catches
 // it — but withholds the certificate.

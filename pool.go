@@ -27,17 +27,9 @@ type Pool struct {
 }
 
 // NewPool loads prog once under cfg and returns a pool of machines over
-// the shared image. The load is opportunistically verified: when the
-// static verifier grants the stack-bounds certificate the pool serves the
-// certified image, whose machines skip the pre-dispatch stack-window test
-// and are byte-identical in behaviour to checked ones (a continuously
-// fuzzed invariant, see internal/difffuzz). A program the verifier rejects
-// or cannot certify is served from the plain checked image exactly as
-// before; NewPool never rejects a program LoadImage accepts.
+// the shared image. It does not run the verifier; use LoadImageVerified
+// and NewPoolFromImage to gate a program on admission.
 func NewPool(prog *Program, cfg Config) (*Pool, error) {
-	if img, err := core.LoadImage(prog, cfg, core.WithVerify()); err == nil && img.Certified() {
-		return NewPoolFromImage(img), nil
-	}
 	img, err := LoadImage(prog, cfg)
 	if err != nil {
 		return nil, err

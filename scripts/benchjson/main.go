@@ -44,14 +44,12 @@ type Block struct {
 }
 
 // File is the whole record: the fixed comparison point plus the latest
-// measurement, a Block. The baseline and the "verify" block (which belongs
-// to scripts/certfrac) are carried through untouched, so a bench refresh
-// never rewrites the comparison point or loses the recorded certified
-// fraction; the previous current block, whatever its format, is replaced.
+// measurement, a Block. The baseline is carried through untouched, so a
+// bench refresh never rewrites the comparison point; the previous current
+// block, whatever its format, is replaced.
 type File struct {
 	Baseline json.RawMessage `json:"baseline,omitempty"`
 	Current  json.RawMessage `json:"current,omitempty"`
-	Verify   json.RawMessage `json:"verify,omitempty"`
 }
 
 func main() {

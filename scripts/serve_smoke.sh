@@ -74,33 +74,21 @@ if [ "${MISSES:-0}" -ne 1 ]; then
 fi
 echo "serve-smoke: registry submit-or-hit OK (hash ${HASH%"${HASH#????????}"}…, 1 miss)"
 
-# Verifier admission split: the trivial program above is certified; a
-# program that stores through a caller-passed record pointer (a write the
-# summary analysis cannot place) is admitted but falls back to the checked
-# table, reporting its denial reason codes both in the /run response and
-# in the per-reason admission counters.
-UNCERT_BODY='{"modules":{"u":"module u; proc poke(p, v) { store(p, v); } proc main(n) { var a = alloc(4); poke(a, n); var v = load(a); dealloc(a); return v; }"},"entry":"u.main","args":[9]}'
-UNCERT="$(curl -fsS -X POST -d "$UNCERT_BODY" "$ADDR/run")"
-case "$UNCERT" in
-    *'"results":[9]'*) ;;
-    *) echo "serve-smoke: uncertified /run wrong answer: $UNCERT" >&2; exit 1 ;;
+# Verify-at-admission: a program whose expression definitely overflows the
+# 13-word evaluation stack is refused with 400 and the verifier's
+# diagnostics, before any machine runs it.
+REJ_BODY='{"modules":{"r":"module r; proc main() { return 1+(1+(1+(1+(1+(1+(1+(1+(1+(1+(1+(1+(1+(1+(1+(1+(1)))))))))))))))); }"},"entry":"r.main"}'
+REJ="$(curl -sS -w ' status=%{http_code}' -X POST -d "$REJ_BODY" "$ADDR/run")"
+case "$REJ" in
+    *'rejected by verifier'*'status=400') ;;
+    *) echo "serve-smoke: definitely-overflowing /run not rejected with 400: $REJ" >&2; exit 1 ;;
 esac
-case "$UNCERT" in
-    *'"certReasons":['*) ;;
-    *) echo "serve-smoke: uncertified /run carries no certReasons: $UNCERT" >&2; exit 1 ;;
-esac
-VMETRICS="$(curl -fsS "$ADDR/metrics")"
-V_CERT="$(printf '%s\n' "$VMETRICS" | awk -F' ' '/^fpc_verify_certified_total\{cert="[a-z_]*"\}/ {s += $2} END {print s+0}')"
-V_UNCERT="$(printf '%s\n' "$VMETRICS" | awk -F' ' '/^fpc_verify_uncertified_total\{reason="[a-z-]*"\}/ {s += $2} END {print s+0}')"
-echo "serve-smoke: verify admission certified ${V_CERT:-0}, uncertified (by reason) $V_UNCERT"
-if [ "${V_CERT:-0}" -lt 1 ]; then
-    echo "serve-smoke: expected at least 1 certified admission in /metrics" >&2
+REJECTED="$(curl -fsS "$ADDR/metrics" | awk '$1 == "fpcd_verify_rejected_total" {print $2}')"
+if [ "${REJECTED:-0}" -ne 1 ]; then
+    echo "serve-smoke: expected fpcd_verify_rejected_total 1, got ${REJECTED:-<missing>}" >&2
     exit 1
 fi
-if [ "$V_UNCERT" -lt 1 ]; then
-    echo "serve-smoke: expected a reason-coded uncertified admission in /metrics" >&2
-    exit 1
-fi
+echo "serve-smoke: verifier rejected the overflowing program (400)"
 
 # Graceful drain: SIGTERM must finish cleanly.
 kill -TERM "$FPCD_PID"
